@@ -7,13 +7,12 @@ restarts over fixed-length windows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import SystemSpec, Trajectory, energy_value, simulate
+from .dynamics import SystemSpec, Trajectory, energy_value, euler_step, simulate
 from .errors import BoundaryMinimizer, NonPositiveValues
 from .maps import MirrorMap
 from .noise import NoiseModel, NoiseStream, ZeroNoise
@@ -197,19 +196,14 @@ def ensemble(
     record_stride: int,
     count: int,
     base_seed: int,
-    workers: int = 1,
 ) -> tuple[EnsembleStats, list[Trajectory]]:
     """Simulate `count` trajectories with streams derived from
-    (base_seed, index) and aggregate per-time statistics.
-
-    The result is a pure function of the arguments: worker parallelism only
-    reorders execution, never the per-index streams or the aggregation.
-    """
+    (base_seed, index) and aggregate per-time statistics. The result is a
+    pure function of the arguments."""
     if count < 1:
         raise ValueError("ensemble needs at least one trajectory")
-
-    def run(index: int) -> Trajectory:
-        return simulate(
+    trajectories = [
+        simulate(
             spec,
             certificate,
             t_end,
@@ -217,12 +211,8 @@ def ensemble(
             record_stride=record_stride,
             stream=NoiseStream(base_seed, index),
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(run, range(count)))
-    else:
-        trajectories = [run(i) for i in range(count)]
+        for index in range(count)
+    ]
 
     gaps = np.array([tr.gap for tr in trajectories])
     stats = EnsembleStats(
@@ -380,11 +370,11 @@ def covariation_check(
     """Empirical covariance of the raw dual increments against the
     theoretical eta^2 Sigma h over `steps` steps.
 
-    Raw increments are accumulated before the stabilizing dual projection
-    (the projection removes the mean component and would otherwise distort
-    the covariance without affecting the primal path). Requires a constant
-    learning rate and a time-constant scalar/diagonal model so the target is
-    a single matrix.
+    Raw increments (`euler_step`'s dz) are taken before the stabilizing
+    dual projection (the projection removes the mean component and would
+    otherwise distort the covariance without affecting the primal path).
+    Requires a constant learning rate and a time-constant scalar/diagonal
+    model so the target is a single matrix.
 
     Returns (max relative diagonal error, max absolute off-diagonal,
     off-diagonal band 4 * eta^2 sigma0^2 h / sqrt(steps), target matrix).
@@ -399,8 +389,7 @@ def covariation_check(
     noise = spec.noise
     x = np.array(spec.x0, float)
     z = np.array(spec.z0, float)
-    mmap, objective = spec.mmap, spec.objective
-    n = mmap.dim
+    n = spec.mmap.dim
     t0 = rates.t0
     d0 = noise.diag(x, t0)
     if not np.isscalar(d0):
@@ -411,22 +400,10 @@ def covariation_check(
 
     increments = np.empty((steps, n))
     sqrt_h = math.sqrt(h)
+    noisy = spec.is_stochastic
     for k in range(steps):
-        t = t0 + k * h
-        g = objective.gradient(x)
-        if noise.is_zero:
-            delta = -(eta0 * h) * g
-        else:
-            dW = stream.standard_normals(n) * sqrt_h
-            delta = -eta0 * (h * g + noise.diag(x, t) * dW)
-        increments[k] = delta
-        if spec.kind in ("amd", "samd"):
-            mirror = mmap.grad_psi_star(z / rates.s.value(t))
-            z = mmap.dual_projection(z + delta)
-            x = x + (rates.a.value(t) * h) * (mirror - x)
-        else:
-            z = mmap.dual_projection(z + delta)
-            x = mmap.grad_psi_star(z / rates.s.value(t + h))
+        dW = stream.standard_normals(n) * sqrt_h if noisy else None
+        x, z, increments[k], _, _ = euler_step(spec, x, z, t0 + k * h, h, dW)
 
     empirical = np.cov(increments.T, ddof=1)
     if noise.is_zero:

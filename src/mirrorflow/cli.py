@@ -48,8 +48,6 @@ def _load_config(args) -> ScenarioConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
     return with_overrides(cfg, **overrides) if overrides else cfg
 
 
@@ -111,7 +109,7 @@ def cmd_ensemble(args) -> int:
     out = _outdir(cfg)
     stats, trajs = ensemble(
         spec, cert, t_end=cfg.t_end, h=cfg.h, record_stride=cfg.record_stride,
-        count=cfg.count, base_seed=cfg.seed, workers=cfg.threads,
+        count=cfg.count, base_seed=cfg.seed,
     )
     ensemble_to_csv(
         stats, out / "ensemble.csv",
@@ -167,7 +165,7 @@ def cmd_rates(args) -> int:
                 stats, _ = ensemble(
                     spec, cert, t_end=cfg.t_end, h=cfg.h,
                     record_stride=cfg.record_stride, count=cfg.count,
-                    base_seed=cfg.seed, workers=cfg.threads,
+                    base_seed=cfg.seed,
                 )
                 fit = fit_rate_exponent(
                     stats.times, stats.mean_gap, (cfg.t_end / 10.0, cfg.t_end)
@@ -224,7 +222,7 @@ def cmd_compare(args) -> int:
         spec, cert = build_spec(run_cfg)
         stats, _ = ensemble(
             spec, cert, t_end=cfg.t_end, h=cfg.h, record_stride=cfg.record_stride,
-            count=cfg.count, base_seed=cfg.seed, workers=cfg.threads,
+            count=cfg.count, base_seed=cfg.seed,
         )
         results[label] = stats
     path = out / "compare.csv"
@@ -268,8 +266,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     names = args.checks or None
     verifier = Verifier(
-        base_seed=args.seed if args.seed is not None else presets.DEFAULT_BASE_SEED,
-        workers=args.threads or 1,
+        base_seed=args.seed if args.seed is not None else presets.DEFAULT_BASE_SEED
     )
     results = verifier.run(names)
     for res in results:
@@ -295,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a scenario file (flat key = value)")
         p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, help="base seed override")
-        p.add_argument("--threads", type=int, help="ensemble worker threads")
         p.add_argument("--plots", action="store_true",
                        help="also write self-contained SVG charts")
 
@@ -320,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"subset of: {', '.join(CHECK_NAMES)} (default: all)")
     p.add_argument("--out", help="also write the report to this directory")
     p.add_argument("--seed", type=int, help="base seed override")
-    p.add_argument("--threads", type=int, help="ensemble worker threads")
     p.set_defaults(func=cmd_verify)
     return parser
 

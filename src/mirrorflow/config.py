@@ -9,7 +9,9 @@ run outputs record everything needed to reproduce a run bit for bit.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 from .dynamics import SystemSpec, md_bundle, nesterov_bundle
 from .errors import ParseError, ValidationError
@@ -24,7 +26,7 @@ from .presets import (
     default_sum_exp,
     face_sum_exp,
 )
-from .schedules import PowerLaw, RateBundle, coupled_bundle, optimal_amd_exponents
+from .schedules import PowerLaw, RateBundle, optimal_amd_exponents
 
 VERSION = "0.1.0"
 
@@ -61,7 +63,6 @@ class ScenarioConfig:
     record_stride: int = 10
     count: int = 100
     seed: int = DEFAULT_BASE_SEED
-    threads: int = 1
     out: str = "outputs"
     sweep_alpha_sigma: list[float] = field(default_factory=lambda: [0.2, 0.0])
     sweep_alpha_s: list[float] = field(default_factory=lambda: [0.5])
@@ -96,7 +97,6 @@ _KEY_MAP = {
     "run.record_stride": "record_stride",
     "ensemble.count": "count",
     "seed": "seed",
-    "threads": "threads",
     "out": "out",
     "sweep.alpha_sigma": "sweep_alpha_sigma",
     "sweep.alpha_s": "sweep_alpha_s",
@@ -104,7 +104,7 @@ _KEY_MAP = {
 }
 _FIELD_TO_KEY = {v: k for k, v in _KEY_MAP.items()}
 
-_INT_FIELDS = {"objective_dim", "record_stride", "count", "seed", "threads"}
+_INT_FIELDS = {"objective_dim", "record_stride", "count", "seed"}
 _FLOAT_FIELDS = {
     "alpha_s", "eta_coef", "eta_exponent", "r_coef", "beta",
     "sigma0", "alpha_sigma", "t0", "t_end", "h",
@@ -121,17 +121,11 @@ def _emit_matrix(rows: list[list[float]]) -> str:
     return " ; ".join(" ".join(repr(float(v)) for v in row) for row in rows)
 
 
-def parse_config(source) -> ScenarioConfig:
-    """Parse a scenario file (path or string). Raises ParseError with the
-    offending line, then ValidationError listing every violated constraint."""
-    if hasattr(source, "read_text"):
-        text = source.read_text()
-    elif isinstance(source, str) and "\n" not in source and "=" not in source:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
-
+def parse_config(source: str | Path) -> ScenarioConfig:
+    """Parse a scenario: a `Path` is read from disk, a `str` is the scenario
+    text itself. Raises ParseError with the offending line, then
+    ValidationError listing every violated constraint."""
+    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     cfg = ScenarioConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,8 +181,41 @@ def emit_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonfinite(value) -> bool:
+    """True for a number (or numeric text) that is NaN or infinite."""
+    try:
+        return not math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
+def _nonfinite_keys(cfg: ScenarioConfig) -> list[str]:
+    """Keys of every numeric entry holding a NaN or infinity."""
+    bad = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "objective_c":
+            numbers = [v for row in value or [] for v in row]
+        elif f.name == "sweep_alpha_r":
+            numbers = [token.removeprefix("auto") for token in value]
+        elif f.name in _FLOAT_LIST_FIELDS:
+            numbers = value
+        elif f.name in _FLOAT_FIELDS or f.name == "alpha_r":
+            numbers = [value]
+        else:
+            continue
+        if any(_nonfinite(v) for v in numbers):
+            bad.append(_FIELD_TO_KEY[f.name])
+    return bad
+
+
 def validate(cfg: ScenarioConfig) -> list[str]:
-    """All constraint violations, each naming the broken condition."""
+    """All constraint violations, each naming the broken condition. NaN or
+    infinite numbers are reported alone: no other check is meaningful on
+    them."""
+    nonfinite = _nonfinite_keys(cfg)
+    if nonfinite:
+        return [f"{key} must be finite, not NaN or infinity" for key in nonfinite]
     bad = []
     if cfg.system_kind not in SYSTEM_CHOICES:
         bad.append(f"system.kind must be one of {SYSTEM_CHOICES}, got {cfg.system_kind!r}")
@@ -223,8 +250,6 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         bad.append("run.record_stride must be >= 1")
     if cfg.count < 1:
         bad.append("ensemble.count must be >= 1")
-    if cfg.threads < 1:
-        bad.append("threads must be >= 1")
     if cfg.system_kind in ("amd", "samd"):
         if cfg.alpha_r == "auto" and cfg.alpha_sigma >= 0.5:
             bad.append(
@@ -284,8 +309,6 @@ def build_rates(cfg: ScenarioConfig) -> RateBundle:
     if cfg.system_kind == "nesterov":
         return nesterov_bundle(cfg.beta, t0=cfg.t0)
     alpha_r = cfg.resolved_alpha_r()
-    if cfg.eta_mode == "coupled" and cfg.r_coef == 1.0:
-        return coupled_bundle(alpha_r, cfg.alpha_s, t0=cfg.t0)
     return RateBundle(
         eta=_eta_schedule(cfg, alpha_r),
         r=PowerLaw(cfg.r_coef, alpha_r),

@@ -1,7 +1,8 @@
 """Time-stepping integrators for the mirror descent flows.
 
-Five systems share one explicit scheme (Euler for the drift, Euler-Maruyama
-for the noise, both state updates evaluated at the left endpoint):
+Five systems share one explicit scheme, implemented once in `euler_step`
+(Euler for the drift, Euler-Maruyama for the noise, both state updates
+evaluated at the left endpoint):
 
 - ``md``:    z' = -grad f(x),            x = grad_psi_star(z / s(t))
 - ``smd``:   dZ = -[grad f dt + sigma dB], X = grad_psi_star(Z / s(t))
@@ -97,56 +98,46 @@ def energy_value(
     return rates.r.value(t) * gap + s_t * mmap.bregman_div_star(z / s_t, z_star)
 
 
-# ---------------------------------------------------------------------------
-# Single steps. Each advances the state from time t to t + h using only
-# time-t quantities on the right-hand side. The ensemble loops in simulate()
-# inline the same expressions; tests pin the two paths to bitwise equality.
-# ---------------------------------------------------------------------------
+def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None):
+    """Advance one step of length hk from time t, using only time-t
+    quantities on the right-hand side. ``z`` holds the velocity for the
+    oscillator. ``dW`` is the Wiener increment (None: no noise arithmetic);
+    ``x_star`` enables the Ito-integral increment.
 
+    md/smd are the averaged systems' dual update with eta = 1; only the
+    primal update and the oscillator's velocity form differ per kind.
 
-def step_md(x, z, t: float, h: float, spec: SystemSpec):
+    Returns (x_new, z_new, dz, dmart, db): the new state, the raw dual
+    increment before the dual projection, the increment of the Ito integral
+    of <-eta sigma^T (anchor - x*), dB> and that of the noise strength b.
+    The anchor is the time-t mirror point: x itself for md/smd.
+    """
+    mmap, rates = spec.mmap, spec.rates
+    averaged = spec.kind in ("amd", "samd")
     g = spec.objective.gradient(x)
-    z_new = spec.mmap.dual_projection(z - h * g)
-    x_new = spec.mmap.grad_psi_star(z_new / spec.rates.s.value(t + h))
-    return x_new, z_new
-
-
-def step_smd(x, z, t: float, h: float, spec: SystemSpec, dW):
-    g = spec.objective.gradient(x)
-    if dW is None or spec.noise.is_zero:
-        z_new = spec.mmap.dual_projection(z - h * g)
+    dmart = db = 0.0
+    if spec.kind == "nesterov":
+        dz = hk * (-g - z * ((spec.beta + 1.0) / t))
     else:
-        z_new = spec.mmap.dual_projection(z - (h * g + spec.noise.diag(x, t) * dW))
-    x_new = spec.mmap.grad_psi_star(z_new / spec.rates.s.value(t + h))
-    return x_new, z_new
-
-
-def step_amd(x, z, t: float, h: float, spec: SystemSpec):
-    mirror = spec.mmap.grad_psi_star(z / spec.rates.s.value(t))
-    g = spec.objective.gradient(x)
-    z_new = spec.mmap.dual_projection(z - (spec.rates.eta.value(t) * h) * g)
-    x_new = x + (spec.rates.a.value(t) * h) * (mirror - x)
-    return x_new, z_new
-
-
-def step_samd(x, z, t: float, h: float, spec: SystemSpec, dW):
-    mirror = spec.mmap.grad_psi_star(z / spec.rates.s.value(t))
-    g = spec.objective.gradient(x)
-    if dW is None or spec.noise.is_zero:
-        z_new = spec.mmap.dual_projection(z - (spec.rates.eta.value(t) * h) * g)
+        eta = rates.eta.value(t) if averaged else 1.0
+        anchor = mmap.grad_psi_star(z / rates.s.value(t)) if averaged else x
+        # the scalar factor carries the sign: exact, and one array op fewer
+        if dW is None:
+            dz = -(eta * hk) * g
+        else:
+            d = spec.noise.diag(x, t)
+            dz = -eta * (hk * g + d * dW)
+            if x_star is not None:
+                dmart = float((-eta * (d * (anchor - x_star))) @ dW)
+            db = eta * eta * spec.noise.sigma_star_sq(t) * hk
+    z_new = mmap.dual_projection(z + dz)
+    if spec.kind == "nesterov":
+        x_new = x + hk * z
+    elif averaged:
+        x_new = x + (rates.a.value(t) * hk) * (anchor - x)
     else:
-        z_new = spec.mmap.dual_projection(
-            z - spec.rates.eta.value(t) * (h * g + spec.noise.diag(x, t) * dW)
-        )
-    x_new = x + (spec.rates.a.value(t) * h) * (mirror - x)
-    return x_new, z_new
-
-
-def step_nesterov(x, v, t: float, h: float, beta: float, objective: Objective):
-    g = objective.gradient(x)
-    x_new = x + h * v
-    v_new = v + h * (-g - v * ((beta + 1.0) / t))
-    return x_new, v_new
+        x_new = mmap.grad_psi_star(z_new / rates.s.value(t + hk))
+    return x_new, z_new, dz, dmart, db
 
 
 @dataclass
@@ -268,12 +259,11 @@ def simulate(
 
     mmap = spec.mmap
     objective = spec.objective
-    noise = spec.noise
     n = mmap.dim
     f_star = certificate.f_star
     track_energy = spec.kind != "nesterov" and not certificate.boundary
     z_star = certificate.z_star if track_energy else None
-    x_star = certificate.x_star
+    x_star = certificate.x_star if track_energy else None
 
     n_steps, exact_span = step_count(t0, t_end, h)
     rec_rows = list(range(0, n_steps, record_stride)) + [n_steps]
@@ -321,36 +311,10 @@ def simulate(
             hk = t_end - t  # clipped final step of an inexact span
             sq_hk = math.sqrt(hk)
 
-        if spec.kind == "nesterov":
-            x, z = step_nesterov(x, z, t, hk, spec.beta, objective)
-        elif spec.kind in ("md", "smd"):
-            dW = stream.standard_normals(n) * sq_hk if noisy else None
-            if noisy:
-                d = noise.diag(x, t)
-                if track_energy:
-                    mart += float((-(d * (x - x_star))) @ dW)
-                b_acc += noise.sigma_star_sq(t) * hk
-                g = objective.gradient(x)
-                z = mmap.dual_projection(z - (hk * g + d * dW))
-            else:
-                g = objective.gradient(x)
-                z = mmap.dual_projection(z - hk * g)
-            x = mmap.grad_psi_star(z / rates.s.value(t + hk))
-        else:  # amd / samd
-            s_t = rates.s.value(t)
-            mirror = mmap.grad_psi_star(z / s_t)
-            g = objective.gradient(x)
-            eta_t = rates.eta.value(t)
-            if noisy:
-                dW = stream.standard_normals(n) * sq_hk
-                d = noise.diag(x, t)
-                if track_energy:
-                    mart += float((-eta_t * (d * (mirror - x_star))) @ dW)
-                b_acc += eta_t * eta_t * noise.sigma_star_sq(t) * hk
-                z = mmap.dual_projection(z - eta_t * (hk * g + d * dW))
-            else:
-                z = mmap.dual_projection(z - (eta_t * hk) * g)
-            x = x + (rates.a.value(t) * hk) * (mirror - x)
+        dW = stream.standard_normals(n) * sq_hk if noisy else None
+        x, z, _, dmart, db = euler_step(spec, x, z, t, hk, dW, x_star)
+        mart += dmart
+        b_acc += db
 
         if not math.isfinite(float(x.sum()) + float(z.sum())):
             raise NonFinite(f"state became non-finite at step {k} (t = {t:g})")

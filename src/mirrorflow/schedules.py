@@ -2,8 +2,7 @@
 
 Power laws coef * t^exponent are the first-class schedule family: products,
 derivatives, and integrals stay closed-form, and every admissibility
-condition reduces to coefficient/exponent inequalities. A tabulated
-schedule exists to exercise the quadrature fallbacks.
+condition reduces to coefficient/exponent inequalities.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidRegime, NonPositiveTime
 
@@ -67,27 +65,6 @@ CONSTANT_ONE = PowerLaw(1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class TabulatedSchedule:
-    """Piecewise-linear schedule on a grid; integrals go through quadrature.
-
-    Mainly a test fixture for the non-closed-form code paths.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def value(self, t: float) -> float:
-        if t <= 0:
-            raise NonPositiveTime(f"schedule evaluated at t = {t}")
-        return float(np.interp(t, self.times, self.values))
-
-    __call__ = value
-
-    def derivative(self, t: float, dt: float = 1e-6) -> float:
-        return (self.value(t + dt) - self.value(t - dt)) / (2.0 * dt)
-
-
-@dataclass(frozen=True)
 class RateBundle:
     """The rate functions driving one accelerated run: dual learning rate
     eta, energy weight r, inverse sensitivity s, and the implied primal
@@ -118,17 +95,11 @@ def coupled_bundle(alpha_r: float, alpha_s: float, t0: float = 1.0) -> RateBundl
     )
 
 
-def averaging_weight(a, t0: float, t: float) -> float:
-    """Averaging weight w(t) = exp(integral of a over [t0, t]), w(t0) = 1.
-
-    Closed form for power laws, quadrature for anything else exposing value().
-    """
+def averaging_weight(a: PowerLaw, t0: float, t: float) -> float:
+    """Averaging weight w(t) = exp(integral of a over [t0, t]), w(t0) = 1."""
     if t < t0:
         raise NonPositiveTime(f"t = {t} precedes t0 = {t0}")
-    if isinstance(a, PowerLaw):
-        return math.exp(a.integral(t0, t))
-    integral, _ = quad(a.value, t0, t, limit=200)
-    return math.exp(integral)
+    return math.exp(a.integral(t0, t))
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,8 @@ class CheckResult:
 class Verifier:
     """Runs named checks; caches the shared stochastic-rate ensemble."""
 
-    def __init__(self, base_seed: int = presets.DEFAULT_BASE_SEED, workers: int = 1):
+    def __init__(self, base_seed: int = presets.DEFAULT_BASE_SEED):
         self.base_seed = int(base_seed)
-        self.workers = int(workers)
         self._rate_ensemble = None
 
     # -- criterion experiments ------------------------------------------------
@@ -250,7 +249,6 @@ class Verifier:
             stats, trajs = ensemble(
                 spec, cert, t_end=200.0, h=1e-2, record_stride=10,
                 count=presets.DEFAULT_ENSEMBLE_COUNT, base_seed=self.base_seed,
-                workers=self.workers,
             )
             ctx = EnergyContext(spec.mmap, spec.objective, cert, spec.rates)
             self._rate_ensemble = (spec, cert, ctx, stats, trajs)
@@ -294,7 +292,6 @@ class Verifier:
         _, trajs = ensemble(
             spec, cert, t_end=200.0, h=1e-2, record_stride=10,
             count=presets.DEFAULT_ENSEMBLE_COUNT, base_seed=self.base_seed,
-            workers=self.workers,
         )
         gaps = []
         for tr in trajs:

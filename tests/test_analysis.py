@@ -242,7 +242,7 @@ class TestEnsemble:
         a, ta = ensemble(spec, cert, t_end=2.0, h=0.01, record_stride=10,
                          count=6, base_seed=33)
         b, tb = ensemble(spec, cert, t_end=2.0, h=0.01, record_stride=10,
-                         count=6, base_seed=33, workers=3)
+                         count=6, base_seed=33)
         np.testing.assert_array_equal(a.mean_gap, b.mean_gap)
         for x, y in zip(ta, tb):
             np.testing.assert_array_equal(x.x, y.x)

@@ -4,6 +4,7 @@ import pytest
 from mirrorflow.cli import main
 from mirrorflow.config import (
     ScenarioConfig,
+    build_rates,
     build_spec,
     config_digest,
     emit_config,
@@ -12,6 +13,7 @@ from mirrorflow.config import (
     with_overrides,
 )
 from mirrorflow.errors import ParseError, ValidationError
+from mirrorflow.schedules import coupled_bundle
 
 MINIMAL = """
 # a minimal stochastic scenario
@@ -63,6 +65,15 @@ class TestParsing:
             parse_config("system.kind = samd\nwhat.is = this\n")
         assert err.value.line == 2
 
+    def test_path_is_read_and_str_is_text(self, tmp_path):
+        folder = tmp_path / "a=1"
+        folder.mkdir()
+        path = folder / "s.cfg"
+        path.write_text(MINIMAL)
+        assert parse_config(path) == parse_config(MINIMAL)
+        with pytest.raises(ParseError):
+            parse_config(str(path))
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ParseError):
             parse_config("run.h = fast\n")
@@ -107,6 +118,11 @@ class TestValidation:
 
 
 class TestBuildSpec:
+    @pytest.mark.parametrize("alpha_r", [0.3, 0.8, 1.0, 1.2])
+    def test_coupled_rates_equal_coupled_bundle(self, alpha_r):
+        cfg = ScenarioConfig(system_kind="amd", alpha_r=alpha_r, alpha_s=0.4, t0=2.0)
+        assert build_rates(cfg) == coupled_bundle(alpha_r, 0.4, t0=2.0)
+
     def test_default_samd(self):
         cfg = parse_config(MINIMAL)
         spec, cert = build_spec(cfg)
@@ -218,3 +234,31 @@ class TestCli:
     def test_verify_unknown_check(self):
         with pytest.raises(ValueError):
             main(["verify", "not-a-check"])
+
+    @pytest.mark.parametrize("line, key", [
+        ("run.h = nan", "run.h"),
+        ("run.t_end = inf", "run.t_end"),
+        ("rates.alpha_s = nan", "rates.alpha_s"),
+        ("noise.sigma0 = nan", "noise.sigma0"),
+    ])
+    def test_nonfinite_number_is_a_configuration_error(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINIMAL + f"{line}\nout = {tmp_path / 'run'}\n")
+        assert main(["ensemble", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: {key} must be finite, not NaN or infinity"]
+        assert not (tmp_path / "run").exists()
+
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("system.kind = samd\nthreads = 2\n")
+        assert main(["ensemble", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: line 2: unknown key 'threads'"]
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "rates", "compare", "verify"])
+    def test_threads_flag_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err

@@ -7,15 +7,11 @@ from mirrorflow import presets
 from mirrorflow.dynamics import (
     SystemSpec,
     averaged_iterate,
+    euler_step,
     md_bundle,
     nesterov_bundle,
     primal_average_residual,
     simulate,
-    step_amd,
-    step_md,
-    step_nesterov,
-    step_samd,
-    step_smd,
 )
 from mirrorflow.errors import NonFinite, StepTooLarge, StrideTooCoarse
 from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
@@ -31,29 +27,53 @@ def make_spec(kind, sigma0=0.0, rates=None, objective=None):
     return spec, cert
 
 
+def oscillator_spec(objective, x0, beta):
+    return SystemSpec(
+        kind="nesterov", mmap=EuclideanMap(len(x0)), objective=objective,
+        rates=nesterov_bundle(beta), noise=ZeroNoise(len(x0)), x0=x0,
+        z0=np.zeros(len(x0)), beta=beta,
+    )
+
+
 class TestSingleSteps:
-    def test_samd_step_matches_hand_arithmetic(self, simplex3, default_certificate):
+    @pytest.mark.parametrize("kind", ["md", "smd", "samd"])
+    def test_step_matches_hand_arithmetic(self, kind, simplex3):
         obj = presets.default_sum_exp()
+        noisy = kind == "smd"
         spec = SystemSpec(
-            kind="samd",
+            kind=kind,
             mmap=simplex3,
             objective=obj,
-            rates=FIG_RATES,
-            noise=ZeroNoise(3),
+            rates=FIG_RATES if kind == "samd" else md_bundle(alpha_s=0.5),
+            noise=make_noise("scalar", 0.1, 0.0, 3) if noisy else ZeroNoise(3),
             x0=np.array([0.5, 0.3, 0.2]),
             z0=np.array([0.1, -0.2, 0.1]),
         )
         t, h = 1.0, 0.01
-        x1, z1 = step_samd(spec.x0, spec.z0, t, h, spec, None)
-        # independent arithmetic
+        dW = np.array([0.03, -0.01, 0.02]) if noisy else None
+        x_star = np.array([0.4, 0.3, 0.3])
+        x1, z1, dz, dmart, db = euler_step(spec, spec.x0, spec.z0, t, h, dW, x_star)
+        # independent arithmetic; eta = 1 for every kind here
         g = np.exp(obj.coefficients @ spec.x0) @ obj.coefficients
-        z_expect = spec.z0 - (1.0 * h) * g
+        dz_expect = -h * g - (0.1 * dW if noisy else 0.0)
+        z_expect = spec.z0 + dz_expect
         z_expect = z_expect - z_expect.mean()
-        e = np.exp(spec.z0 / 1.0 - np.max(spec.z0 / 1.0))
-        mirror = e / e.sum()
-        x_expect = spec.x0 + (1.0 * h) * (mirror - spec.x0)
+        if kind == "samd":
+            e = np.exp(spec.z0 / 1.0 - np.max(spec.z0 / 1.0))
+            mirror = e / e.sum()
+            x_expect = spec.x0 + (1.0 * h) * (mirror - spec.x0)
+        else:
+            s_next = (t + h) ** 0.5
+            e = np.exp(z_expect / s_next - np.max(z_expect / s_next))
+            x_expect = e / e.sum()
+        np.testing.assert_allclose(dz, dz_expect, atol=1e-14)
         np.testing.assert_allclose(z1, z_expect, atol=1e-14)
         np.testing.assert_allclose(x1, x_expect, atol=1e-14)
+        if noisy:
+            assert dmart == pytest.approx(-0.1 * (spec.x0 - x_star) @ dW, abs=1e-15)
+            assert db == pytest.approx(0.1**2 * h, rel=1e-14)
+        else:
+            assert dmart == 0.0 and db == 0.0
 
     def test_zero_gradient_relaxes_toward_mirror_point(self, simplex3):
         obj = SumExp(np.zeros((1, 3)))
@@ -87,7 +107,7 @@ class TestSingleSteps:
         obj = Rank1Quadratic(np.array([1.0, 0.5]))
         x, v = np.array([1.0, -1.0]), np.array([0.2, 0.0])
         t, h, beta = 2.0, 0.05, 3.0
-        x1, v1 = step_nesterov(x, v, t, h, beta, obj)
+        x1, v1, _, _, _ = euler_step(oscillator_spec(obj, x, beta), x, v, t, h)
         np.testing.assert_allclose(x1, x + h * v)
         g = (obj.c @ x) * obj.c
         np.testing.assert_allclose(v1, v + h * (-g - v * (beta + 1.0) / t))
@@ -95,8 +115,9 @@ class TestSingleSteps:
     def test_nesterov_zero_gradient_stays_put(self):
         obj = Rank1Quadratic(np.array([0.0, 0.0]))
         x, v = np.array([0.3, -0.8]), np.zeros(2)
+        spec = oscillator_spec(obj, x, 2.0)
         for t in (1.0, 2.0, 3.0):
-            x, v = step_nesterov(x, v, t, 0.1, 2.0, obj)
+            x, v, _, _, _ = euler_step(spec, x, v, t, 0.1)
         np.testing.assert_array_equal(x, [0.3, -0.8])
         np.testing.assert_array_equal(v, np.zeros(2))
 
@@ -119,20 +140,30 @@ class TestSingleSteps:
 
 
 class TestSimulateMatchesStepFunctions:
-    def test_deterministic_kinds(self, default_certificate):
-        for kind, stepper in (("md", step_md), ("amd", step_amd)):
-            spec, cert = make_spec(kind, rates=FIG_RATES if kind == "amd" else None)
+    def test_deterministic_kinds(self):
+        euclid_cert = MinimizerCertificate(
+            x_star=np.zeros(2), f_star=0.0, z_star=np.zeros(2),
+            boundary=False, residual=0.0, method="analytic",
+        )
+        oscillator = oscillator_spec(Rank1Quadratic(np.array([1.0, 0.6])),
+                                     np.array([1.0, -0.5]), 3.0)
+        for kind in ("md", "amd", "nesterov"):
+            if kind == "nesterov":
+                spec, cert = oscillator, euclid_cert
+                z = spec.rates.a.value(1.0) * (spec.z0 - spec.x0)
+            else:
+                spec, cert = make_spec(kind, rates=FIG_RATES if kind == "amd" else None)
+                z = np.array(spec.z0, float)
             traj = simulate(spec, cert, t_end=1.0 + 7 * 0.01, h=0.01)
             x = np.array(spec.x0, float)
-            z = np.array(spec.z0, float)
             for k in range(7):
                 t = 1.0 + k * 0.01
-                x, z = stepper(x, z, t, 0.01, spec)
+                x, z, _, _, _ = euler_step(spec, x, z, t, 0.01)
                 np.testing.assert_array_equal(traj.x[k + 1], x)
                 np.testing.assert_array_equal(traj.z[k + 1], z)
 
     def test_stochastic_kinds(self):
-        for kind, stepper in (("smd", step_smd), ("samd", step_samd)):
+        for kind in ("smd", "samd"):
             rates = FIG_RATES if kind == "samd" else md_bundle(alpha_s=0.5)
             spec, cert = make_spec(kind, sigma0=0.1, rates=rates)
             traj = simulate(
@@ -142,13 +173,18 @@ class TestSimulateMatchesStepFunctions:
             replay = NoiseStream(42, 0)
             x = np.array(spec.x0, float)
             z = np.array(spec.z0, float)
+            mart = b = 0.0
             sq = math.sqrt(0.01)
             for k in range(7):
                 t = 1.0 + k * 0.01
                 dW = replay.standard_normals(3) * sq
-                x, z = stepper(x, z, t, 0.01, spec, dW)
+                x, z, _, dmart, db = euler_step(spec, x, z, t, 0.01, dW, cert.x_star)
+                mart += dmart
+                b += db
                 np.testing.assert_array_equal(traj.x[k + 1], x)
                 np.testing.assert_array_equal(traj.z[k + 1], z)
+                assert traj.martingale[k + 1] == mart
+                assert traj.b[k + 1] == b
 
 
 class TestDegeneracyAndDeterminism:

@@ -9,7 +9,6 @@ from mirrorflow.schedules import (
     CONSTANT_ONE,
     PowerLaw,
     RateBundle,
-    TabulatedSchedule,
     as_convergence_conditions,
     averaging_weight,
     check_admissible,
@@ -72,16 +71,6 @@ class TestAveragingWeight:
     def test_two_over_t(self):
         a = PowerLaw(2.0, -1.0)
         assert averaging_weight(a, 1.0, 3.0) == pytest.approx(9.0)
-
-    def test_quadrature_path_matches_closed_form(self):
-        a = PowerLaw(0.7, -0.4)
-        ts = np.geomspace(0.5, 150.0, 20000)
-        tab = TabulatedSchedule(ts, 0.7 * ts**-0.4)
-        # tabulation itself interpolates, so only expect moderate agreement
-        for t in (2.0, 10.0, 100.0):
-            assert averaging_weight(tab, 1.0, t) == pytest.approx(
-                averaging_weight(a, 1.0, t), rel=1e-5
-            )
 
     def test_closed_form_matches_quadrature_on_long_span(self):
         a = PowerLaw(1.5, -1.0)
