@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import SystemSpec, Trajectory, energy_value, euler_step, simulate
+from .dynamics import SystemSpec, Trajectory, energy_value, euler_step, simulate, write_csv
 from .errors import BoundaryMinimizer, NonPositiveValues
 from .maps import MirrorMap
 from .noise import NoiseModel, NoiseStream, ZeroNoise
@@ -242,37 +242,15 @@ def ensemble_to_csv(
 ) -> None:
     """Write `t, mean_gap, std_gap, stderr_gap, mean_energy, std_energy,
     gap_bound, b, envelope`; unavailable columns stay empty."""
-    header = [
-        "t",
-        "mean_gap",
-        "std_gap",
-        "stderr_gap",
-        "mean_energy",
-        "std_energy",
-        "gap_bound",
-        "b",
-        "envelope",
-    ]
-
-    def cell(arr, i):
-        return "" if arr is None else repr(float(arr[i]))
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(stats.times):
-            row = [repr(float(t))]
-            row.append(repr(float(stats.mean_gap[i])))
-            row.append(cell(stats.std_gap, i))
-            row.append(cell(stats.stderr_gap, i))
-            row.append(cell(stats.mean_energy, i))
-            row.append(cell(stats.std_energy, i))
-            row.append("" if gap_bound is None else repr(float(gap_bound(float(t)))))
-            if eta is not None and t0 is not None and float(t) > t0:
-                b, env = b_and_envelope(eta, sigma_star, t0, float(t))
-                row += [repr(b), repr(env)]
-            else:
-                row += ["", ""]
-            fh.write(",".join(row) + "\n")
+    header = ["t", "mean_gap", "std_gap", "stderr_gap", "mean_energy", "std_energy",
+              "gap_bound", "b", "envelope"]
+    times = [float(t) for t in stats.times]
+    bound = None if gap_bound is None else [gap_bound(t) for t in times]
+    noisy = eta is not None and t0 is not None
+    b_env = [b_and_envelope(eta, sigma_star, t0, t) if noisy and t > t0 else (None, None)
+             for t in times]
+    write_csv(path, header, [times, stats.mean_gap, stats.std_gap, stats.stderr_gap,
+                             stats.mean_energy, stats.std_energy, bound, *zip(*b_env)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import presets
 from .analysis import (
     EnergyContext,
+    default_fit_window,
     ensemble,
     ensemble_to_csv,
     expected_value_bound,
@@ -28,14 +29,15 @@ from .analysis import (
 )
 from .config import (
     ScenarioConfig,
+    alpha_r_token,
     build_spec,
     emit_config,
     parse_config,
     with_overrides,
     write_manifest,
 )
-from .dynamics import simulate
-from .errors import ConfigError
+from .dynamics import simulate, write_csv
+from .errors import ConfigError, MirrorflowError
 from .noise import NoiseStream
 from .schedules import optimal_amd_exponents, optimal_smd_exponent
 from .verify import CHECK_NAMES, Verifier
@@ -133,68 +135,63 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _resolve_alpha_r(token: str, alpha_sigma: float, alpha_s: float) -> float:
-    if token.startswith("auto"):
-        base = optimal_amd_exponents(alpha_sigma, alpha_s)
-        return base + float(token[4:]) if len(token) > 4 else base
-    return float(token)
+def _sweep_cells(cfg: ScenarioConfig):
+    """Admit every sweep run before any runs: the validated run configs of
+    each (alpha_sigma, alpha_s) cell, and why each rejected token was left out."""
+    cells, skipped = [], []
+    for alpha_sigma in cfg.sweep_alpha_sigma:
+        for alpha_s in cfg.sweep_alpha_s:
+            runs = []
+            for token in cfg.sweep_alpha_r:
+                relative, alpha_r = alpha_r_token(token)
+                try:
+                    if relative:
+                        alpha_r += optimal_amd_exponents(alpha_sigma, alpha_s)
+                    runs.append(with_overrides(cfg, system_kind="samd", alpha_r=alpha_r,
+                                               alpha_s=alpha_s, alpha_sigma=alpha_sigma))
+                except MirrorflowError as exc:
+                    skipped.append(f"alpha_r={token}: {exc}")
+            if runs:
+                cells.append(runs)
+    return cells, skipped
 
 
 def cmd_rates(args) -> int:
     """Sweep noise and rate exponents; fit the decay of the mean gap per
     cell and flag the empirically best energy-weight exponent."""
     cfg = _load_config(args)
+    cells, skipped = _sweep_cells(cfg)
+    if not cells:
+        raise ConfigError("; ".join(["no admissible sweep cell", *dict.fromkeys(skipped)]))
+    for reason in skipped:
+        print(f"skip {reason}", file=sys.stderr)
     out = _outdir(cfg)
     rows = []
-    for alpha_sigma in cfg.sweep_alpha_sigma:
-        for alpha_s in cfg.sweep_alpha_s:
-            cell = []
-            for token in cfg.sweep_alpha_r:
-                try:
-                    alpha_r = _resolve_alpha_r(token, alpha_sigma, alpha_s)
-                except Exception as exc:
-                    print(f"skip alpha_r={token}: {exc}", file=sys.stderr)
-                    continue
-                if alpha_r <= 0:
-                    continue
-                run_cfg = with_overrides(
-                    cfg, system_kind="samd", alpha_r=alpha_r, alpha_s=alpha_s,
-                    alpha_sigma=alpha_sigma,
-                )
-                spec, cert = build_spec(run_cfg)
-                stats, _ = ensemble(
-                    spec, cert, t_end=cfg.t_end, h=cfg.h,
-                    record_stride=cfg.record_stride, count=cfg.count,
-                    base_seed=cfg.seed,
-                )
-                fit = fit_rate_exponent(
-                    stats.times, stats.mean_gap, (cfg.t_end / 10.0, cfg.t_end)
-                )
-                bound_slope = max(
-                    alpha_s - alpha_r, alpha_r + 2.0 * alpha_sigma - alpha_s - 1.0
-                )
-                cell.append({
-                    "alpha_sigma": alpha_sigma,
-                    "alpha_s": alpha_s,
-                    "alpha_r": alpha_r,
-                    "slope": fit.slope,
-                    "stderr": fit.stderr,
-                    "predicted_slope": alpha_sigma - 0.5,
-                    "bound_slope": bound_slope,
-                })
-            if cell:
-                best = min(cell, key=lambda r: r["slope"])
-                for r in cell:
-                    r["best_in_cell"] = int(r is best)
-                rows.extend(cell)
+    for runs in cells:
+        cell = []
+        for run_cfg in runs:
+            alpha_sigma, alpha_s, alpha_r = run_cfg.alpha_sigma, run_cfg.alpha_s, run_cfg.alpha_r
+            spec, cert = build_spec(run_cfg)
+            stats, _ = ensemble(
+                spec, cert, t_end=cfg.t_end, h=cfg.h,
+                record_stride=cfg.record_stride, count=cfg.count,
+                base_seed=cfg.seed,
+            )
+            fit = fit_rate_exponent(stats.times, stats.mean_gap, default_fit_window(cfg.t_end))
+            bound_slope = max(alpha_s - alpha_r, alpha_r + 2.0 * alpha_sigma - alpha_s - 1.0)
+            cell.append({
+                "alpha_sigma": alpha_sigma, "alpha_s": alpha_s, "alpha_r": alpha_r,
+                "slope": fit.slope, "stderr": fit.stderr,
+                "predicted_slope": alpha_sigma - 0.5, "bound_slope": bound_slope,
+            })
+        best = min(cell, key=lambda r: r["slope"])
+        for r in cell:
+            r["best_in_cell"] = int(r is best)
+        rows.extend(cell)
     header = ["alpha_sigma", "alpha_s", "alpha_r", "slope", "stderr",
               "predicted_slope", "bound_slope", "best_in_cell"]
     path = out / "rates.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            fh.write(",".join(repr(r[k]) if isinstance(r[k], float) else str(r[k])
-                              for k in header) + "\n")
+    write_csv(path, header, [[r[k] for r in rows] for k in header])
     write_manifest(out / "manifest.txt", cfg, "rates", {"rows": len(rows)})
     for r in rows:
         flag = " (best)" if r["best_in_cell"] else ""
@@ -211,12 +208,12 @@ def cmd_compare(args) -> int:
     """Non-accelerated versus averaged stochastic runs on identical noise
     streams, each configured by its optimal exponent rule."""
     cfg = _load_config(args)
-    out = _outdir(cfg)
     choice = optimal_smd_exponent(cfg.alpha_sigma)
     smd_cfg = with_overrides(cfg, system_kind="smd", alpha_s=choice.alpha_s)
     samd_cfg = with_overrides(
         cfg, system_kind="samd", alpha_s=choice.alpha_s, alpha_r="auto"
     )
+    out = _outdir(cfg)
     results = {}
     for label, run_cfg in (("smd", smd_cfg), ("samd", samd_cfg)):
         spec, cert = build_spec(run_cfg)
@@ -227,21 +224,8 @@ def cmd_compare(args) -> int:
         results[label] = stats
     path = out / "compare.csv"
     smd, samd = results["smd"], results["samd"]
-
-    def cell(arr, i):
-        return "" if arr is None else repr(float(arr[i]))
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,mean_gap_smd,std_gap_smd,mean_gap_samd,std_gap_samd\n")
-        for i, t in enumerate(smd.times):
-            row = [
-                repr(float(t)),
-                repr(float(smd.mean_gap[i])),
-                cell(smd.std_gap, i),
-                repr(float(samd.mean_gap[i])),
-                cell(samd.std_gap, i),
-            ]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, ["t", "mean_gap_smd", "std_gap_smd", "mean_gap_samd", "std_gap_samd"],
+              [smd.times, smd.mean_gap, smd.std_gap, samd.mean_gap, samd.std_gap])
     write_manifest(out / "manifest.txt", cfg, "compare",
                    {"alpha_s": choice.alpha_s,
                     "predicted_rate_exponent": choice.rate_exponent})
@@ -255,9 +239,7 @@ def cmd_compare(args) -> int:
             title=f"alpha_sigma = {cfg.alpha_sigma}", ylabel="gap",
         )
     for label, stats in results.items():
-        fit = fit_rate_exponent(
-            stats.times, stats.mean_gap, (cfg.t_end / 10.0, cfg.t_end)
-        )
+        fit = fit_rate_exponent(stats.times, stats.mean_gap, default_fit_window(cfg.t_end))
         print(f"{label}: fitted slope {fit.slope:+.3f} (stderr {fit.stderr:.3f})")
     print(f"wrote {path}")
     return 0
@@ -327,6 +309,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MirrorflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

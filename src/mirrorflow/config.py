@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .dynamics import SystemSpec, md_bundle, nesterov_bundle
+from .dynamics import SystemSpec, md_bundle, nesterov_bundle, step_guard
 from .errors import ParseError, ValidationError
 from .maps import make_map
 from .noise import ZeroNoise, make_noise
@@ -26,7 +26,7 @@ from .presets import (
     default_sum_exp,
     face_sum_exp,
 )
-from .schedules import PowerLaw, RateBundle, optimal_amd_exponents
+from .schedules import PowerLaw, RateBundle, check_admissible, optimal_amd_exponents
 
 VERSION = "0.1.0"
 
@@ -35,6 +35,7 @@ OBJECTIVE_CHOICES = ("sum-exp", "rank1-quadratic")
 OBJECTIVE_SOURCES = ("default", "face", "inline")
 MIRROR_CHOICES = ("entropic-simplex", "euclidean")
 NOISE_CHOICES = ("zero", "scalar", "diagonal", "state-scaled")
+ETA_CHOICES = ("coupled", "explicit")
 
 
 @dataclass
@@ -72,6 +73,17 @@ class ScenarioConfig:
         if self.alpha_r == "auto":
             return optimal_amd_exponents(self.alpha_sigma, self.alpha_s)
         return float(self.alpha_r)
+
+
+def alpha_r_token(token: str) -> tuple[bool, float]:
+    """Split a sweep.alpha_r token into (relative to auto, number): `auto` is
+    (True, 0.0), `auto+x` / `auto-x` are (True, +-x) and a number x is
+    (False, x). Raises ValueError for anything else."""
+    if token == "auto":
+        return True, 0.0
+    if token.startswith(("auto+", "auto-")):
+        return True, float(token[4:])
+    return False, float(token)
 
 
 _KEY_MAP = {
@@ -154,6 +166,10 @@ def parse_config(source: str | Path) -> ScenarioConfig:
                 setattr(cfg, name, value)
         except ValueError as exc:
             raise ParseError(f"bad value for {key}: {exc}", lineno) from None
+    return _admitted(cfg)
+
+
+def _admitted(cfg: ScenarioConfig) -> ScenarioConfig:
     violations = validate(cfg)
     if violations:
         raise ValidationError(violations)
@@ -223,6 +239,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         bad.append(f"objective.kind must be one of {OBJECTIVE_CHOICES}")
     if cfg.objective_source not in OBJECTIVE_SOURCES:
         bad.append(f"objective.source must be one of {OBJECTIVE_SOURCES}")
+    if cfg.objective_dim < 1:
+        bad.append("objective.dim must be >= 1")
     if cfg.objective_source == "inline" and not cfg.objective_c:
         bad.append("objective.source = inline requires objective.c")
     if cfg.objective_c is not None:
@@ -235,6 +253,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         bad.append(f"mirror.kind must be one of {MIRROR_CHOICES}")
     if cfg.noise_kind not in NOISE_CHOICES:
         bad.append(f"noise.kind must be one of {NOISE_CHOICES}")
+    if cfg.eta_mode not in ETA_CHOICES:
+        bad.append(f"rates.eta must be one of {ETA_CHOICES}, got {cfg.eta_mode!r}")
+    if cfg.r_coef <= 0:
+        bad.append("rates.r_coef must be positive")
+    if cfg.eta_mode == "explicit" and cfg.eta_coef <= 0:
+        bad.append("rates.eta_coef must be positive")
     if cfg.sigma0 < 0:
         bad.append("noise.sigma0 must be non-negative")
     if cfg.alpha_s < 0:
@@ -250,39 +274,17 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         bad.append("run.record_stride must be >= 1")
     if cfg.count < 1:
         bad.append("ensemble.count must be >= 1")
-    if cfg.system_kind in ("amd", "samd"):
-        if cfg.alpha_r == "auto" and cfg.alpha_sigma >= 0.5:
-            bad.append(
-                "rates.alpha_r = auto requires noise.alpha_sigma < 1/2 "
-                "(the optimal-exponent rule alpha_r = alpha_s - alpha_sigma + 1/2)"
-            )
-        else:
-            try:
-                alpha_r = cfg.resolved_alpha_r()
-                if alpha_r <= 0:
-                    bad.append("rates.alpha_r must be positive")
-                else:
-                    a0 = _eta_schedule(cfg, alpha_r).value(cfg.t0) / (
-                        cfg.r_coef * cfg.t0**alpha_r
-                    )
-                    if a0 * cfg.h > 0.5 + 1e-12:
-                        bad.append(
-                            f"a(t0) * h = {a0 * cfg.h:.3g} exceeds 1/2: shrink run.h "
-                            "so the primal averaging step stays a convex combination"
-                        )
-                    if cfg.eta_mode == "explicit":
-                        eta = _eta_schedule(cfg, alpha_r)
-                        for t in (cfg.t0, cfg.t_end):
-                            rdot = cfg.r_coef * alpha_r * t ** (alpha_r - 1.0)
-                            if eta.value(t) < rdot - 1e-12:
-                                bad.append(
-                                    "learning rate must dominate the energy-weight "
-                                    f"derivative: eta({t:g}) = {eta.value(t):.4g} < "
-                                    f"r'({t:g}) = {rdot:.4g}"
-                                )
-                                break
-            except Exception as exc:  # InvalidRegime and friends
-                bad.append(str(exc))
+    if cfg.seed < 0:
+        bad.append("seed must be >= 0")
+    if any(ch in cfg.out for ch in "#\r\n"):
+        bad.append("out must not contain '#' or a line break (the scenario file "
+                   "would read it back cut short)")
+    for token in cfg.sweep_alpha_r:
+        try:
+            alpha_r_token(token)
+        except ValueError:
+            bad.append(f"sweep.alpha_r tokens must be auto, auto+x, auto-x or a number, "
+                       f"got {token!r}")
     if cfg.system_kind == "nesterov":
         if cfg.mirror_kind != "euclidean":
             bad.append("system.kind = nesterov requires mirror.kind = euclidean")
@@ -294,13 +296,22 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                 f"system.kind = {cfg.system_kind} is deterministic; set noise.kind "
                 "= zero or noise.sigma0 = 0"
             )
+    if cfg.system_kind in ("amd", "samd"):
+        if cfg.alpha_r == "auto" and cfg.alpha_sigma >= 0.5:
+            bad.append(
+                "rates.alpha_r = auto requires noise.alpha_sigma < 1/2 "
+                "(the optimal-exponent rule alpha_r = alpha_s - alpha_sigma + 1/2)"
+            )
+        elif cfg.alpha_r != "auto" and cfg.alpha_r <= 0:
+            bad.append("rates.alpha_r must be positive")
+        # the bundle is built only from an otherwise valid configuration
+        if not bad:
+            rates = build_rates(cfg)
+            bad += check_admissible(rates, horizon=cfg.t_end).failures()
+            too_large = step_guard(rates, cfg.h)
+            if too_large is not None:
+                bad.append(too_large)
     return bad
-
-
-def _eta_schedule(cfg: ScenarioConfig, alpha_r: float) -> PowerLaw:
-    if cfg.eta_mode == "coupled":
-        return PowerLaw(cfg.r_coef * alpha_r, alpha_r - 1.0)
-    return PowerLaw(cfg.eta_coef, cfg.eta_exponent)
 
 
 def build_rates(cfg: ScenarioConfig) -> RateBundle:
@@ -309,8 +320,12 @@ def build_rates(cfg: ScenarioConfig) -> RateBundle:
     if cfg.system_kind == "nesterov":
         return nesterov_bundle(cfg.beta, t0=cfg.t0)
     alpha_r = cfg.resolved_alpha_r()
+    if cfg.eta_mode == "coupled":
+        eta = PowerLaw(cfg.r_coef * alpha_r, alpha_r - 1.0)
+    else:
+        eta = PowerLaw(cfg.eta_coef, cfg.eta_exponent)
     return RateBundle(
-        eta=_eta_schedule(cfg, alpha_r),
+        eta=eta,
         r=PowerLaw(cfg.r_coef, alpha_r),
         s=PowerLaw(1.0, cfg.alpha_s),
         t0=cfg.t0,
@@ -355,7 +370,9 @@ def build_spec(cfg: ScenarioConfig) -> tuple[SystemSpec, MinimizerCertificate]:
 
 
 def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    return replace(cfg, **kwargs)
+    """A copy of cfg with the given fields replaced, validated like a
+    scenario file: raises ValidationError."""
+    return _admitted(replace(cfg, **kwargs))
 
 
 def config_digest(cfg: ScenarioConfig) -> str:

@@ -173,26 +173,41 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write `t, x_1..x_n, z_1..z_n, gap, energy, b, martingale`; the
         energy/martingale cells stay empty when those series are absent."""
-        n = self.x.shape[1]
-        header = (
-            ["t"]
-            + [f"x_{i + 1}" for i in range(n)]
-            + [f"z_{i + 1}" for i in range(n)]
-            + ["gap", "energy", "b", "martingale"]
+        names = range(1, self.x.shape[1] + 1)
+        header = ["t", *(f"x_{i}" for i in names), *(f"z_{i}" for i in names),
+                  "gap", "energy", "b", "martingale"]
+        write_csv(path, header, [self.times, *self.x.T, *self.z.T, self.gap, self.energy,
+                                 self.b, self.martingale])
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a header line, then one row per index of the equally long
+    `columns`. A float cell is written as repr(float(v)), any other cell as
+    str(v); a None column or cell stays empty."""
+    rows = len(next(col for col in columns if col is not None))
+    cells = [[""] * rows if col is None else [_csv_cell(v) for v in col] for col in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(row) + "\n" for row in (header, *zip(*cells)))
+
+
+def step_guard(rates: RateBundle, h: float) -> str | None:
+    """Why step h is too large for the averaged systems, or None: primal
+    averaging stays a convex combination only while a(t0) * h <= 1/2."""
+    a0h = rates.a.value(rates.t0) * h
+    if a0h > AVERAGING_STEP_LIMIT + 1e-12:
+        return (
+            f"a(t0) * h = {a0h:.3g} exceeds {AVERAGING_STEP_LIMIT}: shrink the step h "
+            "so the primal averaging step stays a convex combination"
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for i, t in enumerate(self.times):
-                cells = [repr(float(t))]
-                cells += [repr(float(v)) for v in self.x[i]]
-                cells += [repr(float(v)) for v in self.z[i]]
-                cells.append(repr(float(self.gap[i])))
-                cells.append("" if self.energy is None else repr(float(self.energy[i])))
-                cells.append(repr(float(self.b[i])))
-                cells.append(
-                    "" if self.martingale is None else repr(float(self.martingale[i]))
-                )
-                fh.write(",".join(cells) + "\n")
+    return None
 
 
 def step_count(t0: float, t_end: float, h: float) -> tuple[int, bool]:
@@ -245,11 +260,9 @@ def simulate(
     if noisy and stream is None:
         raise ValueError("stochastic runs need a NoiseStream")
     if spec.kind in ("amd", "samd"):
-        if rates.a.value(t0) * h > AVERAGING_STEP_LIMIT + 1e-12:
-            raise StepTooLarge(
-                f"a(t0) * h = {rates.a.value(t0) * h:.3g} exceeds "
-                f"{AVERAGING_STEP_LIMIT}; primal update is no longer a convex combination"
-            )
+        too_large = step_guard(rates, h)
+        if too_large is not None:
+            raise StepTooLarge(too_large)
         if enforce_admissible:
             report = check_admissible(rates, horizon=t_end)
             if not report.passed:

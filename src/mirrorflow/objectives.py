@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryMinimizer, NoConvergence
+from .errors import NoConvergence
 from .maps import INTERIOR_THRESHOLD, EntropicSimplexMap, EuclideanMap, MirrorMap, softmax
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
@@ -139,13 +139,6 @@ class MinimizerCertificate:
     boundary: bool
     residual: float
     method: str
-
-    def require_interior(self) -> np.ndarray:
-        if self.boundary or self.z_star is None:
-            raise BoundaryMinimizer(
-                "minimizer lies on the feasible-set boundary; dual anchor unavailable"
-            )
-        return self.z_star
 
 
 def _kkt_residual(obj: Objective, mmap: MirrorMap, x: np.ndarray) -> float:

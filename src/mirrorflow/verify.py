@@ -33,6 +33,7 @@ from .dynamics import (
     primal_average_residual,
     simulate,
 )
+from .errors import ConfigError
 from .maps import EntropicSimplexMap, EuclideanMap
 from .noise import NoiseStream, ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, Rank1Quadratic
@@ -418,5 +419,6 @@ class Verifier:
         names = list(CHECK_NAMES) if not names else list(names)
         unknown = [n for n in names if n not in table]
         if unknown:
-            raise ValueError(f"unknown checks: {unknown}; choose from {CHECK_NAMES}")
+            raise ConfigError(f"unknown check {', '.join(map(repr, unknown))}; "
+                              f"valid checks: {', '.join(CHECK_NAMES)}")
         return [table[n]() for n in names]

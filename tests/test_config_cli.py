@@ -14,6 +14,7 @@ from mirrorflow.config import (
 )
 from mirrorflow.errors import ParseError, ValidationError
 from mirrorflow.schedules import coupled_bundle
+from mirrorflow.verify import CHECK_NAMES
 
 MINIMAL = """
 # a minimal stochastic scenario
@@ -109,6 +110,20 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             parse_config("system.kind = amd\nnoise.sigma0 = 0.1\nrates.alpha_r = 1.0\n")
         assert any("deterministic" in v for v in err.value.violations)
+
+    def test_overrides_are_validated(self):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ValidationError, match="ensemble.count"):
+            with_overrides(cfg, count=0)
+        with pytest.raises(ValidationError, match="convex combination"):
+            with_overrides(cfg, alpha_r=3.0, h=0.4)
+
+    @pytest.mark.parametrize("out", ["runs#1", "runs\n1", "runs\r1"])
+    def test_out_must_survive_the_scenario_file(self, out):
+        assert validate(ScenarioConfig(out=out)) == [
+            "out must not contain '#' or a line break (the scenario file would read it "
+            "back cut short)"
+        ]
 
     def test_collects_multiple_violations(self):
         violations = validate(
@@ -231,9 +246,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["verify", "--bogus-flag"])
 
-    def test_verify_unknown_check(self):
-        with pytest.raises(ValueError):
-            main(["verify", "not-a-check"])
+    def test_verify_unknown_check(self, capsys):
+        assert main(["verify", "not-a-check"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "configuration error: unknown check 'not-a-check'; valid checks: "
+            + ", ".join(CHECK_NAMES)
+        ]
 
     @pytest.mark.parametrize("line, key", [
         ("run.h = nan", "run.h"),
@@ -248,6 +267,62 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"configuration error: {key} must be finite, not NaN or infinity"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("lines, flags, message", [
+        ("rates.eta = coupld", [],
+         "rates.eta must be one of ('coupled', 'explicit'), got 'coupld'"),
+        ("rates.r_coef = 0.0", [], "rates.r_coef must be positive"),
+        ("rates.eta = explicit\nrates.eta_coef = -1.0", [], "rates.eta_coef must be positive"),
+        ("objective.dim = 0", [], "objective.dim must be >= 1"),
+        ("seed = -1", [], "seed must be >= 0"),
+        ("", ["--seed", "-1"], "seed must be >= 0"),
+        ("sweep.alpha_r = auto bogus", [],
+         "sweep.alpha_r tokens must be auto, auto+x, auto-x or a number, got 'bogus'"),
+        ("", ["--out", "runs#1"],
+         "out must not contain '#' or a line break (the scenario file would read it back "
+         "cut short)"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "rates"])
+    def test_bad_input_is_named_by_key(self, tmp_path, capsys, command, lines, flags, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINIMAL + f"{lines}\nout = {tmp_path / 'run'}\n")
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_rates_skips_an_inadmissible_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "rates.cfg"
+        cfg.write_text(
+            "run.t_end = 10.0\nensemble.count = 3\nseed = 5\n"
+            "sweep.alpha_sigma = 0.0\nsweep.alpha_s = 0.5\nsweep.alpha_r = auto auto-2.0\n"
+            f"out = {tmp_path / 'sweep'}\n"
+        )
+        assert main(["rates", "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["skip alpha_r=auto-2.0: rates.alpha_r must be positive"]
+        assert len((tmp_path / "sweep" / "rates.csv").read_text().splitlines()) == 2
+
+    def test_rates_without_an_admissible_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "rates.cfg"
+        cfg.write_text(MINIMAL + "rates.eta = explicit\nsweep.alpha_r = 2.0\n"
+                       f"out = {tmp_path / 'sweep'}\n")
+        assert main(["rates", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "configuration error: no admissible sweep cell; alpha_r=2.0: learning rate "
+            "dominates energy-weight derivative"
+        )
+        assert not (tmp_path / "sweep").exists()
+
+    def test_compare_outside_the_decay_regime(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"system.kind = smd\nnoise.alpha_sigma = 0.6\nout = {tmp_path / 'cmp'}\n")
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: noise growth exponent 0.6 >= 1/2: expected gap cannot decay"
+        ]
+        assert not (tmp_path / "cmp").exists()
 
     def test_threads_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"

@@ -1,0 +1,147 @@
+"""Property-based checks: the scenario text round trip, and the agreement
+between configuration admission and what the integrator accepts."""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mirrorflow.config import (
+    ETA_CHOICES,
+    MIRROR_CHOICES,
+    NOISE_CHOICES,
+    OBJECTIVE_CHOICES,
+    ScenarioConfig,
+    build_spec,
+    emit_config,
+    parse_config,
+    validate,
+)
+from mirrorflow.dynamics import simulate
+from mirrorflow.errors import StepTooLarge
+from mirrorflow.noise import NoiseStream
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def alpha_r_tokens(draw):
+    kind = draw(st.sampled_from(["auto", "relative", "number"]))
+    if kind == "auto":
+        return "auto"
+    value = draw(finite(0.01, 2.0))
+    if kind == "number":
+        return repr(value)
+    return "auto" + draw(st.sampled_from("+-")) + repr(value)
+
+
+@st.composite
+def valid_configs(draw):
+    """Scenarios that pass validation: every field drawn inside its
+    admissible range, with the averaged systems kept on small steps."""
+    kind = draw(st.sampled_from(["md", "smd", "amd", "samd", "nesterov"]))
+    stochastic = kind in ("smd", "samd")
+    dim = draw(st.integers(1, 4))
+    inline = draw(st.booleans())
+    t0 = draw(finite(0.5, 2.0))
+    span = draw(finite(0.5, 50.0))
+    alpha_sigma = draw(finite(-0.5, 0.45))
+    return ScenarioConfig(
+        system_kind=kind,
+        objective_kind=draw(st.sampled_from(OBJECTIVE_CHOICES)),
+        objective_source="inline" if inline else draw(st.sampled_from(["default", "face"])),
+        objective_dim=dim,
+        objective_c=draw(st.lists(st.lists(finite(-5.0, 5.0), min_size=dim, max_size=dim),
+                                  min_size=1, max_size=3)) if inline else None,
+        mirror_kind="euclidean" if kind == "nesterov" else draw(st.sampled_from(MIRROR_CHOICES)),
+        alpha_r=draw(st.one_of(st.just("auto"), finite(0.05, 2.0))),
+        alpha_s=draw(finite(0.0, 1.5)),
+        # explicit rates may break eta >= r'; the averaged systems keep eta = r'
+        eta_mode="coupled" if kind in ("amd", "samd") else draw(st.sampled_from(ETA_CHOICES)),
+        eta_coef=draw(finite(0.1, 5.0)),
+        eta_exponent=draw(finite(-1.0, 2.0)),
+        r_coef=draw(finite(0.1, 5.0)),
+        beta=draw(finite(2.0, 6.0)),
+        noise_kind=draw(st.sampled_from(NOISE_CHOICES)) if stochastic else "zero",
+        sigma0=draw(finite(0.0, 1.0)) if stochastic else 0.0,
+        alpha_sigma=alpha_sigma,
+        t0=t0,
+        t_end=t0 + span,
+        h=draw(finite(1e-4, 0.05)) * t0,
+        record_stride=draw(st.integers(1, 50)),
+        count=draw(st.integers(1, 500)),
+        seed=draw(st.integers(0, 2**63)),
+        out=draw(st.text("abcxyz0123456789_-./", min_size=1, max_size=20)),
+        sweep_alpha_sigma=draw(st.lists(finite(-1.0, 1.0), max_size=4)),
+        sweep_alpha_s=draw(st.lists(finite(0.0, 2.0), max_size=4)),
+        sweep_alpha_r=draw(st.lists(alpha_r_tokens(), max_size=4)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(valid_configs())
+def test_emit_then_parse_is_identity(cfg):
+    assert validate(cfg) == []
+    assert parse_config(emit_config(cfg)) == cfg
+
+
+@st.composite
+def averaged_rate_configs(draw):
+    """amd/samd scenarios of at most 20 steps whose non-rate fields are
+    valid; the rates themselves may break eta >= r' or the step guard."""
+    kind = draw(st.sampled_from(["amd", "samd"]))
+    t0 = draw(finite(0.5, 2.0))
+    h = draw(finite(0.01, 1.0))
+    steps = draw(st.integers(2, 20))
+    return ScenarioConfig(
+        system_kind=kind,
+        alpha_r=draw(st.one_of(st.just("auto"), finite(0.05, 3.0))),
+        alpha_s=draw(finite(0.0, 1.0)),
+        eta_mode=draw(st.sampled_from(["coupled", "explicit"])),
+        eta_coef=draw(finite(0.1, 5.0)),
+        eta_exponent=draw(finite(-1.0, 2.0)),
+        r_coef=draw(finite(0.1, 3.0)),
+        noise_kind="scalar" if kind == "samd" else "zero",
+        sigma0=0.1 if kind == "samd" else 0.0,
+        alpha_sigma=draw(finite(-0.5, 0.45)),
+        t0=t0,
+        t_end=t0 + steps * h,
+        h=h,
+        record_stride=5,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(averaged_rate_configs())
+def test_validate_rejects_exactly_what_simulate_rejects(cfg):
+    violations = validate(cfg)
+    spec, cert = build_spec(cfg)
+    stream = NoiseStream(cfg.seed, 0) if spec.is_stochastic else None
+    try:
+        simulate(spec, cert, t_end=cfg.t_end, h=cfg.h, record_stride=cfg.record_stride,
+                 stream=stream)
+    except StepTooLarge as exc:
+        assert str(exc) in violations
+    except ValueError as exc:
+        assert "not admissible" in str(exc)
+        assert violations
+    else:
+        assert violations == []
+
+
+def test_rate_strategy_reaches_both_verdicts():
+    """Both branches of the property above are exercised."""
+    verdicts = set()
+
+    @PROPERTY_SETTINGS
+    @given(averaged_rate_configs())
+    def collect(cfg):
+        verdicts.add(not validate(cfg))
+
+    collect()
+    assert verdicts == {True, False}
