@@ -10,14 +10,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import SystemSpec, Trajectory, energy_value, euler_step, simulate, write_csv
-from .errors import BoundaryMinimizer, NonPositiveValues
+from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from .maps import MirrorMap
 from .noise import NoiseModel, NoiseStream, ZeroNoise
 from .objectives import MinimizerCertificate
-from .schedules import PowerLaw, RateBundle
+from .schedules import CONSTANT_ONE, PowerLaw, RateBundle
 
 
 @dataclass(frozen=True)
@@ -73,21 +72,19 @@ def deterministic_rate_bound(ctx: EnergyContext, initial_energy: float, t: float
     ) / rates.r.value(t)
 
 
-def _ito_correction_integral(
-    rates: RateBundle, noise: NoiseModel, t: float
+def noise_integral(
+    sigma_star: PowerLaw | None,
+    t0: float,
+    t: float,
+    times: PowerLaw = CONSTANT_ONE,
+    per: PowerLaw = CONSTANT_ONE,
 ) -> float:
-    """Integral over [t0, t] of eta^2 sigma_star^2 / s; closed form when the
-    volatility bound is a power law, quadrature otherwise."""
-    try:
-        sig = noise.sigma_star_power()
-    except ValueError:
-        integrand = lambda tau: (
-            rates.eta.value(tau) ** 2 * noise.sigma_star_sq(tau) / rates.s.value(tau)
-        )
-        val, _ = quad(integrand, rates.t0, t, limit=200)
-        return val
-    composite = rates.eta.squared() * sig.squared() / rates.s
-    return composite.integral(rates.t0, t)
+    """Closed-form integral over [t0, t] of the weight times / per against
+    sigma_star^2; zero noise (None) integrates to 0. The weight comes in two
+    parts so that eta^2 sigma_star^2 / s rounds as (eta^2 sigma_star^2) / s."""
+    if sigma_star is None:
+        return 0.0
+    return (times * sigma_star.squared() / per).integral(t0, t)
 
 
 def expected_value_bound(
@@ -96,13 +93,13 @@ def expected_value_bound(
     """Bound on the expected gap: deterministic part plus the accumulated
     second-order noise correction (n L_conj / 2) * integral(eta^2 sigma*^2 / s),
     all divided by r(t)."""
-    if noise.is_zero:
-        return deterministic_rate_bound(ctx, initial_energy, t)
     rates = ctx.rates
     n = ctx.mmap.dim
     lip = ctx.mmap.lipschitz_grad_conjugate
     psi_star_pt = ctx.mmap.psi(ctx.certificate.x_star)
-    correction = 0.5 * n * lip * _ito_correction_integral(rates, noise, t)
+    correction = 0.5 * n * lip * noise_integral(
+        noise.sigma_star_power(), rates.t0, t, times=rates.eta.squared(), per=rates.s
+    )
     return (
         initial_energy
         + psi_star_pt * (rates.s.value(t) - rates.s.value(rates.t0))
@@ -126,16 +123,7 @@ def smd_averaged_bound(
     psi_star_pt = ctx.mmap.psi(ctx.certificate.x_star)
     n = ctx.mmap.dim
     lip = ctx.mmap.lipschitz_grad_conjugate
-    if noise.is_zero:
-        correction = 0.0
-    else:
-        try:
-            sig = noise.sigma_star_power()
-            correction = (sig.squared() / rates.s).integral(t0, t)
-        except ValueError:
-            correction, _ = quad(
-                lambda tau: noise.sigma_star_sq(tau) / rates.s.value(tau), t0, t, limit=200
-            )
+    correction = noise_integral(noise.sigma_star_power(), t0, t, per=rates.s)
     return (l_md0 + psi_star_pt * rates.s.value(t) + 0.5 * n * lip * correction) / (t - t0)
 
 
@@ -159,9 +147,7 @@ def b_and_envelope(
 ) -> tuple[float, float]:
     """Accumulated squared noise b(t) = integral of (eta sigma_star)^2 over
     [t0, t] and its envelope; a None volatility means no noise."""
-    if sigma_star is None:
-        return 0.0, 0.0
-    b = (eta.squared() * sigma_star.squared()).integral(t0, t)
+    b = noise_integral(sigma_star, t0, t, times=eta.squared())
     return b, envelope(b)
 
 
@@ -286,7 +272,8 @@ def fit_rate_exponent(
     targets = np.geomspace(t_lo, t_hi, n_points)
     idx = np.unique([int(np.abs(times - t).argmin()) for t in targets])
     if len(idx) < 10:
-        raise ValueError("fewer than 10 distinct grid points inside the window")
+        raise ShortFitWindow(f"rate fit window [{t_lo:g}, {t_hi:g}] holds {len(idx)} "
+                             f"distinct recorded times, fewer than 10")
     y = series[idx]
     if np.any(y <= 0.0):
         raise NonPositiveValues("series must be positive inside the fit window")

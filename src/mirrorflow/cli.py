@@ -73,13 +73,6 @@ def _gap_bound_fn(spec, cert):
     return lambda t: expected_value_bound(ctx, spec.noise, l0, t)
 
 
-def _noise_power(spec):
-    try:
-        return spec.noise.sigma_star_power()
-    except ValueError:
-        return None
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     spec, cert = build_spec(cfg)
@@ -116,7 +109,7 @@ def cmd_ensemble(args) -> int:
     ensemble_to_csv(
         stats, out / "ensemble.csv",
         gap_bound=_gap_bound_fn(spec, cert),
-        eta=spec.rates.eta, sigma_star=_noise_power(spec), t0=cfg.t0,
+        eta=spec.rates.eta, sigma_star=spec.noise.sigma_star_power(), t0=cfg.t0,
     )
     for i, traj in enumerate(trajs):
         traj.to_csv(out / f"trajectory_{i:03d}.csv")
@@ -165,7 +158,6 @@ def cmd_rates(args) -> int:
         raise ConfigError("; ".join(["no admissible sweep cell", *dict.fromkeys(skipped)]))
     for reason in skipped:
         print(f"skip {reason}", file=sys.stderr)
-    out = _outdir(cfg)
     rows = []
     for runs in cells:
         cell = []
@@ -190,6 +182,7 @@ def cmd_rates(args) -> int:
         rows.extend(cell)
     header = ["alpha_sigma", "alpha_s", "alpha_r", "slope", "stderr",
               "predicted_slope", "bound_slope", "best_in_cell"]
+    out = _outdir(cfg)
     path = out / "rates.csv"
     write_csv(path, header, [[r[k] for r in rows] for k in header])
     write_manifest(out / "manifest.txt", cfg, "rates", {"rows": len(rows)})
@@ -213,8 +206,7 @@ def cmd_compare(args) -> int:
     samd_cfg = with_overrides(
         cfg, system_kind="samd", alpha_s=choice.alpha_s, alpha_r="auto"
     )
-    out = _outdir(cfg)
-    results = {}
+    results, fits = {}, {}
     for label, run_cfg in (("smd", smd_cfg), ("samd", samd_cfg)):
         spec, cert = build_spec(run_cfg)
         stats, _ = ensemble(
@@ -222,6 +214,9 @@ def cmd_compare(args) -> int:
             count=cfg.count, base_seed=cfg.seed,
         )
         results[label] = stats
+        fits[label] = fit_rate_exponent(stats.times, stats.mean_gap,
+                                        default_fit_window(cfg.t_end))
+    out = _outdir(cfg)
     path = out / "compare.csv"
     smd, samd = results["smd"], results["samd"]
     write_csv(path, ["t", "mean_gap_smd", "std_gap_smd", "mean_gap_samd", "std_gap_samd"],
@@ -238,8 +233,7 @@ def cmd_compare(args) -> int:
              ("samd mean gap", samd.times, samd.mean_gap)],
             title=f"alpha_sigma = {cfg.alpha_sigma}", ylabel="gap",
         )
-    for label, stats in results.items():
-        fit = fit_rate_exponent(stats.times, stats.mean_gap, default_fit_window(cfg.t_end))
+    for label, fit in fits.items():
         print(f"{label}: fitted slope {fit.slope:+.3f} (stderr {fit.stderr:.3f})")
     print(f"wrote {path}")
     return 0

@@ -276,9 +276,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         bad.append("ensemble.count must be >= 1")
     if cfg.seed < 0:
         bad.append("seed must be >= 0")
-    if any(ch in cfg.out for ch in "#\r\n"):
+    if "#" in cfg.out or len(cfg.out.splitlines()) > 1:
         bad.append("out must not contain '#' or a line break (the scenario file "
                    "would read it back cut short)")
+    elif cfg.out != cfg.out.strip():
+        bad.append("out must not start or end with whitespace (the scenario file "
+                   "would read it back stripped)")
     for token in cfg.sweep_alpha_r:
         try:
             alpha_r_token(token)

@@ -42,6 +42,10 @@ class NonPositiveValues(MirrorflowError):
     """A log-log fit was requested on a series with non-positive entries."""
 
 
+class ShortFitWindow(MirrorflowError):
+    """A log-log fit window holds too few distinct recorded times."""
+
+
 class ConfigError(MirrorflowError):
     """Base class for scenario-configuration problems."""
 

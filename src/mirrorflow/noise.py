@@ -1,11 +1,12 @@
 """Volatility models for the gradient noise and reproducible Wiener streams.
 
 Every model in the family is diagonal: sigma(x, t) acts coordinate-wise, so
-a run only ever needs the diagonal vector. The full matrix accessor exists
-for inspection and tests. The sup over the feasible set of the induced norm
-of sigma sigma^T reduces to the largest squared diagonal entry; for the
-state-scaled model that sup is estimated from a stored dense sample of the
-feasible set and inflated by a 1.01 safety factor.
+a run only ever needs the diagonal vector. The sup over the feasible set of
+the induced norm of sigma sigma^T reduces to the largest squared diagonal
+entry, and every model bounds its square root by a power law
+sigma_star(t) = c t^alpha; for the state-scaled model the sup of the state
+factor is estimated from a stored dense sample of the feasible set and
+inflated by a 1.01 safety factor.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ class NoiseModel(ABC):
 
     dim: int
 
-    @property
-    @abstractmethod
-    def is_zero(self) -> bool:
-        """True when the model contributes no noise at all; integrators then
-        skip noise arithmetic entirely so runs match the deterministic ones
-        bit for bit."""
-
     @abstractmethod
     def diag(self, x: np.ndarray, t: float) -> float | np.ndarray:
         """Diagonal of sigma(x, t); a scalar means a multiple of the identity."""
@@ -41,19 +35,16 @@ class NoiseModel(ABC):
     #: True when sigma_star_sq is a sampled estimate rather than exact
     sigma_star_is_estimate: bool = False
 
-    def matrix(self, x: np.ndarray, t: float) -> np.ndarray:
-        """sigma(x, t) as an explicit (dim, dim) matrix."""
-        d = self.diag(x, t)
-        if np.isscalar(d):
-            return float(d) * np.eye(self.dim)
-        return np.diag(np.asarray(d, dtype=float))
+    @abstractmethod
+    def sigma_star_power(self) -> PowerLaw | None:
+        """sqrt(sigma_star_sq(t)) as a power law; None exactly for zero noise."""
 
-    def sigma_star(self, t: float) -> float:
-        return math.sqrt(self.sigma_star_sq(t))
-
-    def sigma_star_power(self) -> PowerLaw:
-        """sigma_star(t) as a power law, when the model admits one."""
-        raise ValueError(f"{type(self).__name__} has no power-law volatility bound")
+    @property
+    def is_zero(self) -> bool:
+        """True when the model contributes no noise at all; integrators then
+        skip noise arithmetic entirely so runs match the deterministic ones
+        bit for bit."""
+        return self.sigma_star_power() is None
 
 
 class ZeroNoise(NoiseModel):
@@ -62,15 +53,14 @@ class ZeroNoise(NoiseModel):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    @property
-    def is_zero(self) -> bool:
-        return True
-
     def diag(self, x, t):
         return 0.0
 
     def sigma_star_sq(self, t: float) -> float:
         return 0.0
+
+    def sigma_star_power(self) -> None:
+        return None
 
 
 class ScalarPowerLawNoise(NoiseModel):
@@ -83,24 +73,19 @@ class ScalarPowerLawNoise(NoiseModel):
         self.alpha = float(alpha)
         self.dim = int(dim)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sigma0 == 0.0
-
     def diag(self, x, t):
         return self.sigma0 * t**self.alpha
 
     def sigma_star_sq(self, t: float) -> float:
         return (self.sigma0 * t**self.alpha) ** 2
 
-    def sigma_star_power(self) -> PowerLaw:
-        if self.sigma0 == 0.0:
-            raise ValueError("zero volatility has no positive power-law form")
-        return PowerLaw(self.sigma0, self.alpha)
+    def sigma_star_power(self) -> PowerLaw | None:
+        return None if self.sigma0 == 0.0 else PowerLaw(self.sigma0, self.alpha)
 
 
 class DiagonalPowerLawNoise(NoiseModel):
-    """Per-coordinate power laws sigma_i(t) = s0_i * t^alpha_i."""
+    """Per-coordinate power laws sigma_i(t) = s0_i * t^alpha with one shared
+    exponent, so the sup is always the largest s0_i."""
 
     def __init__(self, sigma0s, alphas):
         self.sigma0s = np.asarray(sigma0s, dtype=float)
@@ -109,11 +94,9 @@ class DiagonalPowerLawNoise(NoiseModel):
             raise ValueError("sigma0s and alphas must have matching shapes")
         if np.any(self.sigma0s < 0):
             raise ValueError("sigma0s must be non-negative")
+        if np.any(self.alphas != self.alphas[0]):
+            raise ValueError("alphas must be equal: the sup would switch coordinates over time")
         self.dim = self.sigma0s.shape[0]
-
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.sigma0s == 0.0))
 
     def diag(self, x, t):
         return self.sigma0s * t**self.alphas
@@ -121,13 +104,9 @@ class DiagonalPowerLawNoise(NoiseModel):
     def sigma_star_sq(self, t: float) -> float:
         return float(np.max((self.sigma0s * t**self.alphas) ** 2))
 
-    def sigma_star_power(self) -> PowerLaw:
-        if np.all(self.alphas == self.alphas[0]):
-            s0 = float(self.sigma0s.max())
-            if s0 == 0.0:
-                raise ValueError("zero volatility has no positive power-law form")
-            return PowerLaw(s0, float(self.alphas[0]))
-        raise ValueError("mixed exponents: the sup switches coordinates over time")
+    def sigma_star_power(self) -> PowerLaw | None:
+        s0 = float(self.sigma0s.max())
+        return None if s0 == 0.0 else PowerLaw(s0, float(self.alphas[0]))
 
 
 class StateScaledNoise(NoiseModel):
@@ -164,15 +143,17 @@ class StateScaledNoise(NoiseModel):
     def _factor(self, x: np.ndarray) -> float:
         return 1.0 + self.gain * math.tanh(float(self.direction @ (x - self.center)))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero
-
     def diag(self, x, t):
         return self.base.diag(x, t) * self._factor(x)
 
     def sigma_star_sq(self, t: float) -> float:
         return self.base.sigma_star_sq(t) * (self._factor_sup**2) * 1.01
+
+    def sigma_star_power(self) -> PowerLaw | None:
+        base = self.base.sigma_star_power()
+        if base is None:
+            return None
+        return PowerLaw(base.coef * self._factor_sup * math.sqrt(1.01), base.exponent)
 
 
 class NoiseStream:
@@ -195,16 +176,6 @@ class NoiseStream:
     def standard_normals(self, count: int) -> np.ndarray:
         self.position += int(count)
         return self._gen.standard_normal(count)
-
-    def wiener_increments(self, h: float, n: int) -> np.ndarray:
-        """n independent N(0, h) increments, advancing the stream."""
-        if h <= 0:
-            raise ValueError("step size must be positive")
-        return self.standard_normals(n) * math.sqrt(h)
-
-    def spawn(self, trajectory_index: int) -> "NoiseStream":
-        """Fresh stream for another trajectory under the same base seed."""
-        return NoiseStream(self.base_seed, trajectory_index)
 
     def __repr__(self) -> str:
         return (

@@ -403,22 +403,9 @@ class Verifier:
     # -- dispatch --------------------------------------------------------------
 
     def run(self, names=None) -> list[CheckResult]:
-        table = {
-            "mirror-algebra": self.check_mirror_algebra,
-            "gradients": self.check_gradients,
-            "deterministic-rate": self.check_deterministic_rate,
-            "nesterov": self.check_nesterov,
-            "primal-averaging": self.check_primal_averaging,
-            "covariation": self.check_covariation,
-            "expected-rate": self.check_expected_rate,
-            "averaged-smd": self.check_averaged_smd,
-            "martingale-envelope": self.check_martingale_envelope,
-            "apt": self.check_apt,
-            "determinism": self.check_determinism,
-        }
         names = list(CHECK_NAMES) if not names else list(names)
-        unknown = [n for n in names if n not in table]
+        unknown = [n for n in names if n not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown check {', '.join(map(repr, unknown))}; "
                               f"valid checks: {', '.join(CHECK_NAMES)}")
-        return [table[n]() for n in names]
+        return [getattr(self, "check_" + n.replace("-", "_"))() for n in names]

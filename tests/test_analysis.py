@@ -21,7 +21,7 @@ from mirrorflow.analysis import (
     smd_averaged_bound,
 )
 from mirrorflow.dynamics import SystemSpec, md_bundle, simulate
-from mirrorflow.errors import BoundaryMinimizer, NonPositiveValues
+from mirrorflow.errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from mirrorflow.noise import NoiseStream, ScalarPowerLawNoise, ZeroNoise
 from mirrorflow.objectives import SumExp
 from mirrorflow.schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
@@ -294,7 +294,7 @@ class TestRateFit:
 
     def test_window_needs_enough_points(self):
         ts = np.geomspace(1.0, 100.0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShortFitWindow, match="holds 5 distinct recorded times"):
             fit_rate_exponent(ts, ts**-1.0, (2.0, 100.0))
 
 

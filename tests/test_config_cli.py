@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mirrorflow
+from mirrorflow.analysis import b_and_envelope
 from mirrorflow.cli import main
 from mirrorflow.config import (
     ScenarioConfig,
@@ -118,12 +125,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="convex combination"):
             with_overrides(cfg, alpha_r=3.0, h=0.4)
 
-    @pytest.mark.parametrize("out", ["runs#1", "runs\n1", "runs\r1"])
-    def test_out_must_survive_the_scenario_file(self, out):
-        assert validate(ScenarioConfig(out=out)) == [
-            "out must not contain '#' or a line break (the scenario file would read it "
-            "back cut short)"
-        ]
+    @pytest.mark.parametrize("out, message", [
+        *[(out, "out must not contain '#' or a line break (the scenario file would read "
+                "it back cut short)") for out in ["runs#1", "runs\n1", "runs\r1", "runs\x851"]],
+        *[(out, "out must not start or end with whitespace (the scenario file would read "
+                "it back stripped)") for out in [" runs", "runs "]],
+    ])
+    def test_out_must_survive_the_scenario_file(self, out, message):
+        assert validate(ScenarioConfig(out=out)) == [message]
 
     def test_collects_multiple_violations(self):
         violations = validate(
@@ -209,6 +218,42 @@ class TestCli:
             usecols=(2,),
         )
         np.testing.assert_array_equal(data, np.zeros_like(data))
+
+    def test_state_scaled_ensemble_reports_its_noise_envelope(self, tmp_path):
+        cfg = tmp_path / "scaled.cfg"
+        cfg.write_text(MINIMAL + "noise.kind = state-scaled\nrun.t_end = 3.0\n"
+                       f"out = {tmp_path / 'run'}\n")
+        assert main(["ensemble", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "run" / "ensemble.csv").read_text().splitlines()[2:]
+        cells = [tuple(float(row.split(",")[i]) for i in (0, 7, 8)) for row in rows]
+        assert cells and all(b > 0.0 for _, b, _ in cells)
+        spec, _ = build_spec(parse_config(cfg))
+        power = spec.noise.sigma_star_power()
+        for t, b, env in cells:
+            assert (b, env) == b_and_envelope(spec.rates.eta, power, spec.rates.t0, t)
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(mirrorflow.__file__).resolve().parents[1])
+        code = ("import sys, mirrorflow.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("command, lines", [
+        ("compare", ""),
+        ("rates", "sweep.alpha_sigma = 0.0\nsweep.alpha_s = 0.5\nsweep.alpha_r = auto\n"),
+    ])
+    def test_short_fit_window_is_one_error_line(self, tmp_path, capsys, command, lines):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(MINIMAL + lines + "run.t_end = 1.5\nensemble.count = 2\n"
+                       f"out = {tmp_path / 'run'}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: rate fit window [0.15, 1.5] holds 6 distinct recorded times, fewer than 10"
+        ]
+        assert not (tmp_path / "run").exists()
 
     def test_plots_flag_writes_svg(self, quick_cfg, tmp_path):
         assert main(["simulate", "--config", str(quick_cfg), "--plots"]) == 0

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mirrorflow import presets
+from mirrorflow.dynamics import simulate
 from mirrorflow.noise import (
     DiagonalPowerLawNoise,
     NoiseStream,
@@ -17,14 +19,14 @@ class TestModels:
     def test_scalar_constant(self):
         model = ScalarPowerLawNoise(0.1, 0.0, 3)
         x = np.ones(3) / 3
-        np.testing.assert_allclose(model.matrix(x, 5.0), 0.1 * np.eye(3))
+        assert np.isscalar(model.diag(x, 5.0))
         assert model.diag(x, 5.0) == pytest.approx(0.1)
 
     def test_zero_model(self):
         model = ZeroNoise(3)
         assert model.is_zero
         assert model.sigma_star_sq(10.0) == 0.0
-        np.testing.assert_array_equal(model.matrix(np.ones(3) / 3, 1.0), np.zeros((3, 3)))
+        assert model.diag(np.ones(3) / 3, 1.0) == 0.0
 
     def test_scalar_decay(self):
         model = ScalarPowerLawNoise(0.1, -0.5, 2)
@@ -45,12 +47,9 @@ class TestModels:
         assert (p.coef, p.exponent) == (0.2, 0.3)
 
     def test_diagonal_mixed_exponents_has_no_power_form(self):
-        diag = DiagonalPowerLawNoise([0.1, 0.2], [0.0, -0.5])
-        with pytest.raises(ValueError):
-            diag.sigma_star_power()
-        # sup switches to the slower-decaying coordinate for large t
-        assert diag.sigma_star_sq(1.0) == pytest.approx(0.04)
-        assert diag.sigma_star_sq(100.0) == pytest.approx(0.01)
+        # the sup would switch to the slower-decaying coordinate for large t
+        with pytest.raises(ValueError, match="alphas must be equal"):
+            DiagonalPowerLawNoise([0.1, 0.2], [0.0, -0.5])
 
     def test_state_scaled_bound_dominates_samples(self, rng):
         base = ScalarPowerLawNoise(0.1, 0.1, 3)
@@ -61,8 +60,7 @@ class TestModels:
         for t in (1.0, 10.0):
             bound = model.sigma_star_sq(t)
             for x in rng.dirichlet(np.ones(3), size=1000):
-                norm_sq = float(np.max(np.diag(model.matrix(x, t)))) ** 2
-                assert norm_sq <= bound + 1e-9
+                assert float(model.diag(x, t)) ** 2 <= bound + 1e-9
 
     def test_state_scaled_factor_capped(self, rng):
         base = ScalarPowerLawNoise(1.0, 0.0, 3)
@@ -80,12 +78,17 @@ class TestModels:
             make_noise("jump", 0.1, 0.0, 3)
 
 
+def increments(stream: NoiseStream, h: float, n: int) -> np.ndarray:
+    """n Wiener increments over a step h, drawn as simulate draws them."""
+    return stream.standard_normals(n) * math.sqrt(h)
+
+
 class TestStreams:
     def test_replay_is_identical(self):
         a = NoiseStream(123, 4)
         b = NoiseStream(123, 4)
-        da = np.concatenate([a.wiener_increments(0.01, 3) for _ in range(50)])
-        db = np.concatenate([b.wiener_increments(0.01, 3) for _ in range(50)])
+        da = np.concatenate([increments(a, 0.01, 3) for _ in range(50)])
+        db = np.concatenate([increments(b, 0.01, 3) for _ in range(50)])
         np.testing.assert_array_equal(da, db)
         assert a.position == b.position == 150
 
@@ -105,16 +108,21 @@ class TestStreams:
 
     def test_increment_moments(self):
         h = 0.37
-        draws = NoiseStream(2024, 0).wiener_increments(h, 1_000_000)
+        draws = increments(NoiseStream(2024, 0), h, 1_000_000)
         assert abs(draws.mean()) < 4.0 * math.sqrt(h / 1e6)
         assert draws.var() == pytest.approx(h, rel=0.01)
 
     def test_spawn(self):
-        s = NoiseStream(7, 0)
-        np.testing.assert_array_equal(
-            s.spawn(3).standard_normals(8), NoiseStream(7, 3).standard_normals(8)
-        )
+        # a trajectory's stream is keyed by (seed, index) alone: draws from
+        # other streams in between change nothing
+        first = NoiseStream(7, 3).standard_normals(8)
+        NoiseStream(7, 0).standard_normals(100)
+        np.testing.assert_array_equal(NoiseStream(7, 3).standard_normals(8), first)
+        assert not np.array_equal(NoiseStream(8, 3).standard_normals(8), first)
 
     def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            NoiseStream(1, 0).wiener_increments(0.0, 3)
+        spec, cert = presets.default_spec("samd", sigma0=0.1)
+        stream = NoiseStream(1, 0)
+        with pytest.raises(ValueError, match="0 < h"):
+            simulate(spec, cert, t_end=2.0, h=0.0, stream=stream)
+        assert stream.position == 0

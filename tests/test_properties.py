@@ -1,6 +1,9 @@
-"""Property-based checks: the scenario text round trip, and the agreement
-between configuration admission and what the integrator accepts."""
+"""Property-based checks: the scenario text round trip, the agreement
+between configuration admission and what the integrator accepts, and the
+power-law form of every noise model's volatility bound."""
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +20,13 @@ from mirrorflow.config import (
 )
 from mirrorflow.dynamics import simulate
 from mirrorflow.errors import StepTooLarge
-from mirrorflow.noise import NoiseStream
+from mirrorflow.noise import (
+    DiagonalPowerLawNoise,
+    NoiseStream,
+    ScalarPowerLawNoise,
+    StateScaledNoise,
+    ZeroNoise,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, database=None,
@@ -145,3 +154,40 @@ def test_rate_strategy_reaches_both_verdicts():
 
     collect()
     assert verdicts == {True, False}
+
+
+amplitudes = st.one_of(st.just(0.0), finite(1e-6, 10.0))
+
+
+@st.composite
+def noise_models(draw):
+    """One of the four noise models with its drawn amplitudes, and whether
+    all of them are zero."""
+    kind = draw(st.sampled_from(["zero", "scalar", "diagonal", "state-scaled"]))
+    dim = draw(st.integers(1, 4))
+    alpha = draw(finite(-2.0, 2.0))
+    if kind == "zero":
+        return ZeroNoise(dim), True
+    if kind == "diagonal":
+        sigma0s = draw(st.lists(amplitudes, min_size=dim, max_size=dim))
+        return DiagonalPowerLawNoise(sigma0s, np.full(dim, alpha)), not any(sigma0s)
+    sigma0 = draw(amplitudes)
+    base = ScalarPowerLawNoise(sigma0, alpha, dim)
+    if kind == "scalar":
+        return base, sigma0 == 0.0
+    direction = np.array(draw(st.lists(finite(-5.0, 5.0), min_size=dim, max_size=dim)))
+    model = StateScaledNoise(base, direction, np.full(dim, 1.0 / dim),
+                             gain=draw(finite(0.0, 0.5)))
+    return model, sigma0 == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(noise_models(), finite(0.01, 1e3))
+def test_every_noise_model_bounds_sigma_star_by_a_power_law(drawn, t):
+    model, zero = drawn
+    power = model.sigma_star_power()
+    assert (power is None) == zero == model.is_zero
+    if power is None:
+        assert model.sigma_star_sq(t) == 0.0
+    else:
+        assert power.value(t) ** 2 == pytest.approx(model.sigma_star_sq(t), rel=1e-13)
