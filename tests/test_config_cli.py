@@ -125,14 +125,19 @@ class TestValidation:
         with pytest.raises(ValidationError, match="convex combination"):
             with_overrides(cfg, alpha_r=3.0, h=0.4)
 
-    @pytest.mark.parametrize("out, message", [
-        *[(out, "out must not contain '#' or a line break (the scenario file would read "
-                "it back cut short)") for out in ["runs#1", "runs\n1", "runs\r1", "runs\x851"]],
-        *[(out, "out must not start or end with whitespace (the scenario file would read "
-                "it back stripped)") for out in [" runs", "runs "]],
-    ])
-    def test_out_must_survive_the_scenario_file(self, out, message):
-        assert validate(ScenarioConfig(out=out)) == [message]
+    @pytest.mark.parametrize("out", ["runs#1", "runs\n1", "runs\r1", "runs\x851"])
+    def test_out_must_survive_the_scenario_file(self, out):
+        assert validate(ScenarioConfig(out=out)) == [
+            "out must not contain '#' or a line break (the scenario file would read it "
+            "back cut short)"
+        ]
+
+    @pytest.mark.parametrize("out", [" runs", "runs "])
+    def test_out_must_not_be_stripped_by_the_scenario_file(self, out):
+        assert validate(ScenarioConfig(out=out)) == [
+            "out must not start or end with whitespace (the scenario file would read it "
+            "back stripped)"
+        ]
 
     def test_collects_multiple_violations(self):
         violations = validate(
