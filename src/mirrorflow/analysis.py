@@ -256,6 +256,21 @@ class RateFit:
     n_points: int
 
 
+def fit_indices(times: np.ndarray, window: tuple[float, float], n_points: int = 30) -> np.ndarray:
+    """Distinct indices of the recorded `times` nearest to n_points
+    geometrically spaced targets inside `window`; raises ShortFitWindow
+    when fewer than 10 remain."""
+    t_lo, t_hi = window
+    if not t_lo < t_hi:
+        raise ValueError("window must satisfy t_lo < t_hi")
+    targets = np.geomspace(t_lo, t_hi, n_points)
+    idx = np.unique([int(np.abs(times - t).argmin()) for t in targets])
+    if len(idx) < 10:
+        raise ShortFitWindow(f"rate fit window [{t_lo:g}, {t_hi:g}] holds {len(idx)} "
+                             f"distinct recorded times, fewer than 10")
+    return idx
+
+
 def fit_rate_exponent(
     times: np.ndarray,
     series: np.ndarray,
@@ -265,15 +280,9 @@ def fit_rate_exponent(
     """Fit the decay exponent of a positive series on geometrically spaced
     sample times inside `window` (snapped to the recorded grid)."""
     t_lo, t_hi = window
-    if not t_lo < t_hi:
-        raise ValueError("window must satisfy t_lo < t_hi")
     times = np.asarray(times, float)
     series = np.asarray(series, float)
-    targets = np.geomspace(t_lo, t_hi, n_points)
-    idx = np.unique([int(np.abs(times - t).argmin()) for t in targets])
-    if len(idx) < 10:
-        raise ShortFitWindow(f"rate fit window [{t_lo:g}, {t_hi:g}] holds {len(idx)} "
-                             f"distinct recorded times, fewer than 10")
+    idx = fit_indices(times, window, n_points)
     y = series[idx]
     if np.any(y <= 0.0):
         raise NonPositiveValues("series must be positive inside the fit window")

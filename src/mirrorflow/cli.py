@@ -25,6 +25,7 @@ from .analysis import (
     ensemble,
     ensemble_to_csv,
     expected_value_bound,
+    fit_indices,
     fit_rate_exponent,
 )
 from .config import (
@@ -36,7 +37,7 @@ from .config import (
     with_overrides,
     write_manifest,
 )
-from .dynamics import simulate, write_csv
+from .dynamics import record_grid, simulate, write_csv
 from .errors import ConfigError, MirrorflowError
 from .noise import NoiseStream
 from .schedules import optimal_amd_exponents, optimal_smd_exponent
@@ -128,6 +129,13 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+def _check_fit_window(cfg: ScenarioConfig) -> None:
+    """Raise ShortFitWindow before any run when the recorded grid puts too
+    few points inside the rate fit window."""
+    _, times = record_grid(cfg.t0, cfg.t_end, cfg.h, cfg.record_stride)
+    fit_indices(times, default_fit_window(cfg.t_end))
+
+
 def _sweep_cells(cfg: ScenarioConfig):
     """Admit every sweep run before any runs: the validated run configs of
     each (alpha_sigma, alpha_s) cell, and why each rejected token was left out."""
@@ -158,6 +166,7 @@ def cmd_rates(args) -> int:
         raise ConfigError("; ".join(["no admissible sweep cell", *dict.fromkeys(skipped)]))
     for reason in skipped:
         print(f"skip {reason}", file=sys.stderr)
+    _check_fit_window(cfg)
     rows = []
     for runs in cells:
         cell = []
@@ -206,6 +215,7 @@ def cmd_compare(args) -> int:
     samd_cfg = with_overrides(
         cfg, system_kind="samd", alpha_s=choice.alpha_s, alpha_r="auto"
     )
+    _check_fit_window(cfg)
     results, fits = {}, {}
     for label, run_cfg in (("smd", smd_cfg), ("samd", samd_cfg)):
         spec, cert = build_spec(run_cfg)

@@ -311,7 +311,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         if not bad:
             rates = build_rates(cfg)
             bad += check_admissible(rates, horizon=cfg.t_end).failures()
-            too_large = step_guard(rates, cfg.h)
+            too_large = step_guard(rates, cfg.h, cfg.t_end)
             if too_large is not None:
                 bad.append(too_large)
     return bad
@@ -355,7 +355,7 @@ def build_spec(cfg: ScenarioConfig) -> tuple[SystemSpec, MinimizerCertificate]:
         certificate = certificate_for(objective, mmap)
     rates = build_rates(cfg)
     if cfg.system_kind in ("smd", "samd") and cfg.noise_kind != "zero":
-        noise = make_noise(cfg.noise_kind, cfg.sigma0, cfg.alpha_sigma, mmap.dim)
+        noise = make_noise(cfg.noise_kind, cfg.sigma0, cfg.alpha_sigma, mmap)
     else:
         noise = ZeroNoise(mmap.dim)
     x0, z0 = default_start(mmap)

@@ -33,7 +33,7 @@ from .schedules import CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, che
 DETERMINISTIC_KINDS = ("md", "amd", "nesterov")
 STOCHASTIC_KINDS = ("smd", "samd")
 SYSTEM_KINDS = DETERMINISTIC_KINDS + STOCHASTIC_KINDS
-#: primal averaging must be a convex combination: a(t0) * h <= this
+#: primal averaging must be a convex combination: a(t) * h <= this at every step
 AVERAGING_STEP_LIMIT = 0.5
 
 
@@ -198,14 +198,18 @@ def write_csv(path, header, columns) -> None:
         fh.writelines(",".join(row) + "\n" for row in (header, *zip(*cells)))
 
 
-def step_guard(rates: RateBundle, h: float) -> str | None:
-    """Why step h is too large for the averaged systems, or None: primal
-    averaging stays a convex combination only while a(t0) * h <= 1/2."""
-    a0h = rates.a.value(rates.t0) * h
-    if a0h > AVERAGING_STEP_LIMIT + 1e-12:
+def step_guard(rates: RateBundle, h: float, t_end: float) -> str | None:
+    """Why step h is too large for the averaged systems on [t0, t_end], or
+    None: primal averaging stays a convex combination only while
+    a(t) * h <= 1/2 at every step start t. The power law a peaks at the
+    first step start or, when it grows, at the last one."""
+    n_steps, _ = step_count(rates.t0, t_end, h)
+    t_peak = rates.t0 if rates.a.exponent <= 0 else rates.t0 + (n_steps - 1) * h
+    ah = rates.a.value(t_peak) * h
+    if ah > AVERAGING_STEP_LIMIT + 1e-12:
         return (
-            f"a(t0) * h = {a0h:.3g} exceeds {AVERAGING_STEP_LIMIT}: shrink the step h "
-            "so the primal averaging step stays a convex combination"
+            f"a(t) * h = {ah:.3g} at t = {t_peak:g} exceeds {AVERAGING_STEP_LIMIT}: "
+            "shrink the step h so the primal averaging step stays a convex combination"
         )
     return None
 
@@ -218,6 +222,19 @@ def step_count(t0: float, t_end: float, h: float) -> tuple[int, bool]:
     if n >= 1 and abs(span - n) < 1e-9 * max(1.0, span):
         return int(n), True
     return max(math.ceil(span), 1), False
+
+
+def record_grid(
+    t0: float, t_end: float, h: float, record_stride: int
+) -> tuple[list[int], np.ndarray]:
+    """The recorded step indices (every record_stride-th step plus the
+    final one) and their times, as `simulate` records them."""
+    n_steps, exact_span = step_count(t0, t_end, h)
+    rows = list(range(0, n_steps, record_stride)) + [n_steps]
+    times = t0 + np.array(rows, dtype=float) * h
+    if not exact_span:
+        times[-1] = t_end  # the clipped final step of an inexact span
+    return rows, times
 
 
 def simulate(
@@ -260,7 +277,7 @@ def simulate(
     if noisy and stream is None:
         raise ValueError("stochastic runs need a NoiseStream")
     if spec.kind in ("amd", "samd"):
-        too_large = step_guard(rates, h)
+        too_large = step_guard(rates, h, t_end)
         if too_large is not None:
             raise StepTooLarge(too_large)
         if enforce_admissible:
@@ -279,9 +296,8 @@ def simulate(
     x_star = certificate.x_star if track_energy else None
 
     n_steps, exact_span = step_count(t0, t_end, h)
-    rec_rows = list(range(0, n_steps, record_stride)) + [n_steps]
+    rec_rows, times = record_grid(t0, t_end, h, record_stride)
     m = len(rec_rows)
-    times = np.empty(m)
     xs = np.empty((m, n))
     zs = np.empty((m, n))
     gaps = np.empty(m)
@@ -306,7 +322,6 @@ def simulate(
         else:
             t = t_end
         if ri < m and k == rec_rows[ri]:
-            times[ri] = t
             xs[ri] = x
             zs[ri] = z
             gap = objective.value(x) - f_star

@@ -31,7 +31,7 @@ class NonFinite(MirrorflowError):
 
 
 class StepTooLarge(MirrorflowError):
-    """The step size violates the a(t0) * h <= 1/2 averaging guard."""
+    """The step size violates the a(t) * h <= 1/2 averaging guard."""
 
 
 class StrideTooCoarse(MirrorflowError):

@@ -41,8 +41,6 @@ class MirrorMap(ABC):
     """
 
     kind: str
-    primal_norm_name: str
-    dual_norm_name: str
     #: strong-convexity modulus of the potential w.r.t. the primal norm
     mu: float = 1.0
     #: Lipschitz constant of the conjugate gradient w.r.t. the norm pair
@@ -90,14 +88,9 @@ class MirrorMap(ABC):
     def diameter(self) -> float:
         """Primal-norm diameter of the feasible set (inf if unbounded)."""
 
-    @property
     @abstractmethod
-    def psi_max(self) -> float:
-        """Supremum of the potential over the feasible set (inf if unbounded)."""
-
-    @abstractmethod
-    def sample_feasible(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw `count` feasible points, shape (count, dim)."""
+    def support(self, d: np.ndarray) -> float:
+        """Support function: sup over the feasible set of <d, x> (inf if unbounded)."""
 
     def bregman_div_star(self, z_prime: np.ndarray, z: np.ndarray) -> float:
         """Bregman divergence of the conjugate,
@@ -125,8 +118,6 @@ class EntropicSimplexMap(MirrorMap):
     """
 
     kind = "entropic-simplex"
-    primal_norm_name = "l1"
-    dual_norm_name = "linf"
 
     def psi(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -179,13 +170,9 @@ class EntropicSimplexMap(MirrorMap):
         # l1 distance between any two vertices
         return 2.0
 
-    @property
-    def psi_max(self) -> float:
-        # attained at the vertices
-        return float(np.log(self.dim))
-
-    def sample_feasible(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.dirichlet(np.ones(self.dim), size=count)
+    def support(self, d: np.ndarray) -> float:
+        # a linear functional peaks at a vertex
+        return float(np.max(d))
 
     def barycenter(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
@@ -196,8 +183,6 @@ class EuclideanMap(MirrorMap):
     identity, so the dynamics reduce to unconstrained ones."""
 
     kind = "euclidean"
-    primal_norm_name = "l2"
-    dual_norm_name = "l2"
 
     def psi(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -236,12 +221,8 @@ class EuclideanMap(MirrorMap):
     def diameter(self) -> float:
         return float("inf")
 
-    @property
-    def psi_max(self) -> float:
-        return float("inf")
-
-    def sample_feasible(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.normal(size=(count, self.dim))
+    def support(self, d: np.ndarray) -> float:
+        return 0.0 if not np.any(d) else float("inf")
 
 
 def make_map(kind: str, dim: int) -> MirrorMap:

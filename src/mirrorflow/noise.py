@@ -3,10 +3,10 @@
 Every model in the family is diagonal: sigma(x, t) acts coordinate-wise, so
 a run only ever needs the diagonal vector. The sup over the feasible set of
 the induced norm of sigma sigma^T reduces to the largest squared diagonal
-entry, and every model bounds its square root by a power law
-sigma_star(t) = c t^alpha; for the state-scaled model the sup of the state
-factor is estimated from a stored dense sample of the feasible set and
-inflated by a 1.01 safety factor.
+entry, and every model bounds its square root exactly by a power law
+sigma_star(t) = c t^alpha. For the state-scaled model c carries the sup of
+the state factor, taken from the mirror map's support function: it is
+reached at a vertex on the simplex and equals 1 + gain on the euclidean map.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from .maps import MirrorMap
 from .schedules import PowerLaw
 
 
@@ -31,9 +32,6 @@ class NoiseModel(ABC):
     @abstractmethod
     def sigma_star_sq(self, t: float) -> float:
         """sup over feasible x of the induced norm of sigma(x,t) sigma(x,t)^T."""
-
-    #: True when sigma_star_sq is a sampled estimate rather than exact
-    sigma_star_is_estimate: bool = False
 
     @abstractmethod
     def sigma_star_power(self) -> PowerLaw | None:
@@ -112,9 +110,9 @@ class DiagonalPowerLawNoise(NoiseModel):
 class StateScaledNoise(NoiseModel):
     """Scalar power law modulated by a bounded Lipschitz factor of the state:
     sigma(x, t) = base(t) * (1 + gain * tanh(<direction, x - center>)) * I
-    with |gain| <= 1/2, keeping the factor inside [1/2, 3/2]."""
-
-    sigma_star_is_estimate = True
+    with 0 <= gain <= 1/2, keeping the factor inside [1/2, 3/2]. The factor
+    rises with <direction, x>, so its sup over the map's feasible set is
+    1 + gain * tanh(support(direction) - <direction, center>)."""
 
     def __init__(
         self,
@@ -122,7 +120,8 @@ class StateScaledNoise(NoiseModel):
         direction: np.ndarray,
         center: np.ndarray,
         gain: float = 0.5,
-        sample_points: np.ndarray | None = None,
+        *,
+        mmap: MirrorMap,
     ):
         if not 0.0 <= gain <= 0.5:
             raise ValueError("gain must lie in [0, 1/2]")
@@ -131,14 +130,8 @@ class StateScaledNoise(NoiseModel):
         self.direction = np.asarray(direction, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.gain = float(gain)
-        if sample_points is None:
-            # dense feasible sample frozen at construction; sigma_star sup
-            # is taken over it and padded by 1%
-            rng = np.random.default_rng(1234)
-            sample_points = rng.dirichlet(np.ones(self.dim), size=4096)
-        self._factor_sup = float(
-            max(self._factor(p) for p in np.asarray(sample_points, dtype=float))
-        )
+        peak = mmap.support(self.direction) - float(self.direction @ self.center)
+        self._factor_sup = 1.0 + self.gain * math.tanh(peak)
 
     def _factor(self, x: np.ndarray) -> float:
         return 1.0 + self.gain * math.tanh(float(self.direction @ (x - self.center)))
@@ -147,13 +140,13 @@ class StateScaledNoise(NoiseModel):
         return self.base.diag(x, t) * self._factor(x)
 
     def sigma_star_sq(self, t: float) -> float:
-        return self.base.sigma_star_sq(t) * (self._factor_sup**2) * 1.01
+        return self.base.sigma_star_sq(t) * self._factor_sup**2
 
     def sigma_star_power(self) -> PowerLaw | None:
         base = self.base.sigma_star_power()
         if base is None:
             return None
-        return PowerLaw(base.coef * self._factor_sup * math.sqrt(1.01), base.exponent)
+        return PowerLaw(base.coef * self._factor_sup, base.exponent)
 
 
 class NoiseStream:
@@ -184,8 +177,9 @@ class NoiseStream:
         )
 
 
-def make_noise(kind: str, sigma0: float, alpha: float, dim: int) -> NoiseModel:
-    """Instantiate a noise model by kind name."""
+def make_noise(kind: str, sigma0: float, alpha: float, mmap: MirrorMap) -> NoiseModel:
+    """Instantiate a noise model by kind name on the map's feasible set."""
+    dim = mmap.dim
     if kind == "zero" or sigma0 == 0.0:
         return ZeroNoise(dim)
     if kind == "scalar":
@@ -197,5 +191,5 @@ def make_noise(kind: str, sigma0: float, alpha: float, dim: int) -> NoiseModel:
         rng = np.random.default_rng(99)
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
-        return StateScaledNoise(base, direction, np.full(dim, 1.0 / dim))
+        return StateScaledNoise(base, direction, np.full(dim, 1.0 / dim), mmap=mmap)
     raise ValueError(f"unknown noise kind {kind!r}")

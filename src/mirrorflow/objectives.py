@@ -40,13 +40,8 @@ class Objective(ABC):
         map's (primal, dual) norm pair, over the map's feasible set."""
 
     @abstractmethod
-    def grad_sup_bound(self, mmap: MirrorMap) -> float:
-        """Analytic upper bound on sup over the feasible set of the
-        dual norm of the gradient (inf when the set is unbounded)."""
-
     def describe(self) -> dict:
         """Serializable description (kind plus coefficient data)."""
-        raise NotImplementedError
 
 
 class SumExp(Objective):
@@ -77,13 +72,6 @@ class SumExp(Objective):
             return float("inf")  # unbounded domain, unbounded curvature
         raise ValueError(f"unsupported map {mmap!r}")
 
-    def grad_sup_bound(self, mmap: MirrorMap) -> float:
-        C = self.coefficients
-        if isinstance(mmap, EntropicSimplexMap):
-            peak = np.exp(C.max(axis=1))
-            return float(np.sum(peak * np.abs(C).max(axis=1)))
-        return float("inf")
-
     def describe(self) -> dict:
         return {"kind": self.kind, "c": self.coefficients.tolist()}
 
@@ -109,12 +97,6 @@ class Rank1Quadratic(Objective):
         if isinstance(mmap, EntropicSimplexMap):
             return float(np.abs(self.c).max() ** 2)
         return float(self.c @ self.c)
-
-    def grad_sup_bound(self, mmap: MirrorMap) -> float:
-        if isinstance(mmap, EntropicSimplexMap):
-            # |<c,x>| <= max|c_j| on the simplex
-            return float(np.abs(self.c).max() ** 2)
-        return float("inf")
 
     def describe(self) -> dict:
         return {"kind": self.kind, "c": self.c.tolist()}
@@ -304,32 +286,3 @@ def solve_minimizer(
         )
 
     raise ValueError(f"unsupported map {mmap!r}")
-
-
-def lipschitz_constants(
-    obj: Objective,
-    mmap: MirrorMap,
-    samples: int = 2000,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Diagnostic smoothness constants (L, G): the gradient's Lipschitz
-    constant and the sup of the dual gradient norm over the feasible set.
-
-    Reports min(analytic bound, 1.01 * sampled estimate) for each, so the
-    result dominates every sampled ratio while never exceeding the analytic
-    bound. Never used inside the dynamics.
-    """
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples for a stable estimate")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pts = mmap.sample_feasible(rng, samples)
-    grads = np.array([obj.gradient(p) for p in pts])
-    g_sampled = max((mmap.dual_norm(g) for g in grads), default=0.0)
-    ratio = 0.0
-    for i in range(samples - 1):
-        dx = mmap.primal_norm(pts[i + 1] - pts[i])
-        if dx > 1e-12:
-            ratio = max(ratio, mmap.dual_norm(grads[i + 1] - grads[i]) / dx)
-    l_analytic = obj.grad_lipschitz_bound(mmap)
-    g_analytic = obj.grad_sup_bound(mmap)
-    return min(l_analytic, 1.01 * ratio), min(g_analytic, 1.01 * g_sampled)

@@ -72,14 +72,7 @@ def default_rank1() -> Rank1Quadratic:
 
 def certificate_for(objective, mmap, tol: float = ORACLE_TOL) -> MinimizerCertificate:
     """Oracle certificate, cached per (objective kind + data, map)."""
-    key = (
-        objective.kind,
-        objective.describe()["c"] if hasattr(objective, "describe") else None,
-        mmap.kind,
-        mmap.dim,
-        tol,
-    )
-    key = (key[0], str(key[1]), key[2], key[3], key[4])
+    key = (objective.kind, str(objective.describe()["c"]), mmap.kind, mmap.dim, tol)
     if key not in _CERT_CACHE:
         _CERT_CACHE[key] = solve_minimizer(objective, mmap, tol=tol)
     return _CERT_CACHE[key]
@@ -111,7 +104,7 @@ def default_spec(
             else md_bundle(alpha_s=0.5)
         )
     noise = (
-        make_noise(noise_kind, sigma0, alpha_sigma, 3)
+        make_noise(noise_kind, sigma0, alpha_sigma, mmap)
         if kind in ("smd", "samd")
         else ZeroNoise(3)
     )

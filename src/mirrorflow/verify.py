@@ -358,7 +358,7 @@ class Verifier:
         amd, cert = presets.default_spec("amd", rates=rates)
         samd_zero = SystemSpec(
             kind="samd", mmap=amd.mmap, objective=amd.objective, rates=amd.rates,
-            noise=make_noise("scalar", 0.0, 0.0, 3), x0=amd.x0, z0=amd.z0,
+            noise=make_noise("scalar", 0.0, 0.0, amd.mmap), x0=amd.x0, z0=amd.z0,
         )
         ta = simulate(amd, cert, t_end=5.0, h=1e-2, record_stride=10)
         ts = simulate(samd_zero, cert, t_end=5.0, h=1e-2, record_stride=10,
@@ -370,7 +370,7 @@ class Verifier:
         md, cert_md = presets.default_spec("md", rates=md_bundle(0.5))
         smd_zero = SystemSpec(
             kind="smd", mmap=md.mmap, objective=md.objective, rates=md.rates,
-            noise=make_noise("scalar", 0.0, 0.0, 3), x0=md.x0, z0=md.z0,
+            noise=make_noise("scalar", 0.0, 0.0, md.mmap), x0=md.x0, z0=md.z0,
         )
         tm = simulate(md, cert_md, t_end=5.0, h=1e-2)
         tsm = simulate(smd_zero, cert_md, t_end=5.0, h=1e-2,

@@ -250,7 +250,12 @@ class TestCli:
         ("compare", ""),
         ("rates", "sweep.alpha_sigma = 0.0\nsweep.alpha_s = 0.5\nsweep.alpha_r = auto\n"),
     ])
-    def test_short_fit_window_is_one_error_line(self, tmp_path, capsys, command, lines):
+    def test_short_fit_window_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                command, lines):
+        def never(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the fit window was checked")
+
+        monkeypatch.setattr("mirrorflow.cli.ensemble", never)
         cfg = tmp_path / "short.cfg"
         cfg.write_text(MINIMAL + lines + "run.t_end = 1.5\nensemble.count = 2\n"
                        f"out = {tmp_path / 'run'}\n")

@@ -45,7 +45,7 @@ class TestSingleSteps:
             mmap=simplex3,
             objective=obj,
             rates=FIG_RATES if kind == "samd" else md_bundle(alpha_s=0.5),
-            noise=make_noise("scalar", 0.1, 0.0, 3) if noisy else ZeroNoise(3),
+            noise=make_noise("scalar", 0.1, 0.0, simplex3) if noisy else ZeroNoise(3),
             x0=np.array([0.5, 0.3, 0.2]),
             z0=np.array([0.1, -0.2, 0.1]),
         )
@@ -192,7 +192,7 @@ class TestDegeneracyAndDeterminism:
         amd, cert = make_spec("amd", rates=FIG_RATES)
         samd = SystemSpec(
             kind="samd", mmap=amd.mmap, objective=amd.objective, rates=amd.rates,
-            noise=make_noise("scalar", 0.0, 0.0, 3), x0=amd.x0, z0=amd.z0,
+            noise=make_noise("scalar", 0.0, 0.0, amd.mmap), x0=amd.x0, z0=amd.z0,
         )
         ta = simulate(amd, cert, t_end=3.0, h=0.01, record_stride=10)
         ts = simulate(samd, cert, t_end=3.0, h=0.01, record_stride=10,
@@ -206,7 +206,7 @@ class TestDegeneracyAndDeterminism:
         md, cert = make_spec("md", rates=md_bundle(alpha_s=0.5))
         smd = SystemSpec(
             kind="smd", mmap=md.mmap, objective=md.objective, rates=md.rates,
-            noise=make_noise("scalar", 0.0, 0.0, 3), x0=md.x0, z0=md.z0,
+            noise=make_noise("scalar", 0.0, 0.0, md.mmap), x0=md.x0, z0=md.z0,
         )
         tm = simulate(md, cert, t_end=3.0, h=0.01)
         tsm = simulate(smd, cert, t_end=3.0, h=0.01, stream=NoiseStream(1, 0))
@@ -292,6 +292,15 @@ class TestGuards:
         with pytest.raises(StepTooLarge):
             simulate(spec, cert, t_end=2.0, h=0.3)
 
+    def test_step_guard_covers_a_growing_rate(self):
+        # a = eta / r = t^1.875: a(0.5) * h = 0.27 passes at t0, but the
+        # step from t = 1.5 on leaves the simplex and the run overflows
+        rates = RateBundle(eta=PowerLaw(1.0, 2.0), r=PowerLaw(1.0, 0.125), s=CONSTANT_ONE,
+                           t0=0.5)
+        spec, cert = make_spec("amd", rates=rates)
+        with pytest.raises(StepTooLarge, match=r"a\(t\) \* h = 24.4 at t = 5.5"):
+            simulate(spec, cert, t_end=6.5, h=1.0)
+
     def test_inadmissible_bundle_rejected(self):
         bad = RateBundle(eta=CONSTANT_ONE, r=PowerLaw(1.0, 2.0), s=CONSTANT_ONE)
         spec, cert = make_spec("amd", rates=bad)
@@ -304,7 +313,7 @@ class TestGuards:
         with pytest.raises(ValueError, match="zero noise"):
             SystemSpec(
                 kind="amd", mmap=simplex3, objective=default_objective,
-                rates=FIG_RATES, noise=make_noise("scalar", 0.1, 0.0, 3),
+                rates=FIG_RATES, noise=make_noise("scalar", 0.1, 0.0, simplex3),
                 x0=np.ones(3) / 3, z0=np.zeros(3),
             )
 

@@ -32,7 +32,6 @@ class TestEntropicValues:
         m = maps.EntropicSimplexMap(3)
         # x log x extends by 0: vertices attain the maximum log n
         assert m.psi(np.array([1.0, 0.0, 0.0])) == pytest.approx(math.log(3), abs=1e-12)
-        assert m.psi_max == pytest.approx(math.log(3))
 
     def test_psi_star_at_zero_is_zero(self):
         # conjugate of the shifted potential: sup of -psi = -min psi = 0
@@ -83,7 +82,7 @@ class TestEntropicValues:
 
     def test_dual_of_inverts_grad_psi_star(self, rng):
         m = maps.EntropicSimplexMap(5)
-        for x in m.sample_feasible(rng, 50):
+        for x in rng.dirichlet(np.ones(5), size=50):
             x = np.clip(x, 1e-6, None)
             x /= x.sum()
             np.testing.assert_allclose(m.grad_psi_star(m.dual_of(x)), x, atol=1e-9)
@@ -99,6 +98,13 @@ class TestEntropicValues:
             m.psi(np.array([0.5, 0.6, 0.1]))
         with pytest.raises(InfeasiblePoint):
             m.psi(np.array([1.2, -0.1, -0.1]))
+
+
+def test_support_function():
+    d = np.array([0.5, -2.0, 1.5])
+    assert maps.EntropicSimplexMap(3).support(d) == 1.5
+    assert maps.EuclideanMap(3).support(d) == math.inf
+    assert maps.EuclideanMap(3).support(np.zeros(3)) == 0.0
 
 
 class TestEuclideanValues:

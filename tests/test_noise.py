@@ -51,31 +51,35 @@ class TestModels:
         with pytest.raises(ValueError, match="alphas must be equal"):
             DiagonalPowerLawNoise([0.1, 0.2], [0.0, -0.5])
 
-    def test_state_scaled_bound_dominates_samples(self, rng):
+    def test_state_scaled_bound_dominates_samples(self, rng, simplex3):
         base = ScalarPowerLawNoise(0.1, 0.1, 3)
-        model = StateScaledNoise(
-            base, direction=np.array([1.0, -1.0, 0.5]), center=np.ones(3) / 3
-        )
-        assert model.sigma_star_is_estimate
+        d = np.array([1.0, -1.0, 0.5])
+        model = StateScaledNoise(base, direction=d, center=np.ones(3) / 3, mmap=simplex3)
         for t in (1.0, 10.0):
             bound = model.sigma_star_sq(t)
+            # exact: the factor peaks at the vertex e_0, where <d, x - c> = 1 - 1/6
+            peak = base.sigma_star_sq(t) * (1 + 0.5 * math.tanh(5 / 6)) ** 2
+            assert bound == pytest.approx(peak, rel=1e-12)
+            assert bound == pytest.approx(float(model.diag(np.eye(3)[0], t)) ** 2, rel=1e-12)
             for x in rng.dirichlet(np.ones(3), size=1000):
-                assert float(model.diag(x, t)) ** 2 <= bound + 1e-9
+                assert float(model.diag(x, t)) ** 2 <= bound * (1 + 1e-12)
 
-    def test_state_scaled_factor_capped(self, rng):
+    def test_state_scaled_factor_capped(self, rng, simplex3):
         base = ScalarPowerLawNoise(1.0, 0.0, 3)
-        model = StateScaledNoise(base, np.array([5.0, -5.0, 0.0]), np.ones(3) / 3)
+        model = StateScaledNoise(base, np.array([5.0, -5.0, 0.0]), np.ones(3) / 3,
+                                 mmap=simplex3)
         for x in rng.dirichlet(np.ones(3), size=200):
             assert 0.5 <= model.diag(x, 1.0) <= 1.5
 
-    def test_make_noise(self):
-        assert make_noise("zero", 0.5, 0.0, 3).is_zero
-        assert make_noise("scalar", 0.0, 0.0, 3).is_zero  # zero amplitude degenerates
-        assert isinstance(make_noise("scalar", 0.1, 0.0, 3), ScalarPowerLawNoise)
-        assert isinstance(make_noise("diagonal", 0.1, 0.0, 3), DiagonalPowerLawNoise)
-        assert isinstance(make_noise("state-scaled", 0.1, 0.0, 3), StateScaledNoise)
+    def test_make_noise(self, simplex3):
+        assert make_noise("zero", 0.5, 0.0, simplex3).is_zero
+        assert make_noise("scalar", 0.0, 0.0, simplex3).is_zero  # zero amplitude degenerates
+        assert isinstance(make_noise("scalar", 0.1, 0.0, simplex3), ScalarPowerLawNoise)
+        assert isinstance(make_noise("diagonal", 0.1, 0.0, simplex3), DiagonalPowerLawNoise)
+        assert make_noise("diagonal", 0.1, 0.0, simplex3).dim == 3
+        assert isinstance(make_noise("state-scaled", 0.1, 0.0, simplex3), StateScaledNoise)
         with pytest.raises(ValueError):
-            make_noise("jump", 0.1, 0.0, 3)
+            make_noise("jump", 0.1, 0.0, simplex3)
 
 
 def increments(stream: NoiseStream, h: float, n: int) -> np.ndarray:

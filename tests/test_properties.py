@@ -1,6 +1,7 @@
 """Property-based checks: the scenario text round trip, the agreement
-between configuration admission and what the integrator accepts, and the
-power-law form of every noise model's volatility bound."""
+between configuration admission and what the integrator accepts, the
+power-law form and exactness of every noise model's volatility bound, and
+the entropic map's identities at extreme dual magnitudes."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mirrorflow.config import (
 )
 from mirrorflow.dynamics import simulate
 from mirrorflow.errors import StepTooLarge
+from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
 from mirrorflow.noise import (
     DiagonalPowerLawNoise,
     NoiseStream,
@@ -159,6 +161,20 @@ def test_rate_strategy_reaches_both_verdicts():
 amplitudes = st.one_of(st.just(0.0), finite(1e-6, 10.0))
 
 
+def mirror_maps(dim):
+    return st.sampled_from([EntropicSimplexMap, EuclideanMap]).map(lambda cls: cls(dim))
+
+
+@st.composite
+def feasible_points(draw, mmap):
+    """A point of the map's feasible set: normalized weights on the
+    simplex, any bounded vector on the euclidean map."""
+    if isinstance(mmap, EuclideanMap):
+        return np.array(draw(st.lists(finite(-1e3, 1e3), min_size=mmap.dim, max_size=mmap.dim)))
+    w = np.array(draw(st.lists(finite(0.0, 1.0), min_size=mmap.dim, max_size=mmap.dim)))
+    return w / w.sum() if w.sum() > 0.0 else np.eye(mmap.dim)[0]
+
+
 @st.composite
 def noise_models(draw):
     """One of the four noise models with its drawn amplitudes, and whether
@@ -177,7 +193,7 @@ def noise_models(draw):
         return base, sigma0 == 0.0
     direction = np.array(draw(st.lists(finite(-5.0, 5.0), min_size=dim, max_size=dim)))
     model = StateScaledNoise(base, direction, np.full(dim, 1.0 / dim),
-                             gain=draw(finite(0.0, 0.5)))
+                             gain=draw(finite(0.0, 0.5)), mmap=draw(mirror_maps(dim)))
     return model, sigma0 == 0.0
 
 
@@ -191,3 +207,64 @@ def test_every_noise_model_bounds_sigma_star_by_a_power_law(drawn, t):
         assert model.sigma_star_sq(t) == 0.0
     else:
         assert power.value(t) ** 2 == pytest.approx(model.sigma_star_sq(t), rel=1e-13)
+
+
+@st.composite
+def state_scaled_models(draw):
+    """A state-scaled model on either map, n from 1 to 50; one draw in ten
+    has a zero direction and one in ten a zero gain."""
+    dim = draw(st.integers(1, 50))
+    mmap = draw(mirror_maps(dim))
+    base = ScalarPowerLawNoise(draw(finite(1e-6, 10.0)), draw(finite(-2.0, 2.0)), dim)
+    entries = st.one_of(st.just(0.0), finite(-5.0, -1e-3), finite(1e-3, 5.0))
+    direction = np.array(draw(st.lists(entries, min_size=dim, max_size=dim)))
+    if draw(st.integers(0, 9)) == 0:
+        direction = np.zeros(dim)
+    gain = 0.0 if draw(st.integers(0, 9)) == 0 else draw(finite(0.0, 0.5))
+    # a simplex center is feasible on both maps and keeps |<d, c>| <= 5, so
+    # tanh saturates on the euclidean map only through its infinite support
+    center = draw(feasible_points(EntropicSimplexMap(dim)))
+    return StateScaledNoise(base, direction, center, gain, mmap=mmap), mmap
+
+
+@PROPERTY_SETTINGS
+@given(state_scaled_models(), st.data(), finite(0.01, 1e3))
+def test_state_scaled_sigma_star_is_the_exact_sup(drawn, data, t):
+    model, mmap = drawn
+    bound = model.sigma_star_sq(t)
+
+    def sq(x):
+        return float(model.diag(x, t)) ** 2
+
+    points = [data.draw(feasible_points(mmap)) for _ in range(5)]
+    if isinstance(mmap, EntropicSimplexMap):
+        vertices = list(np.eye(mmap.dim))
+        best = max(sq(v) for v in vertices)
+    else:
+        # tanh(<d, x - c>) rounds to 1 once <d, x - c> = 40; d = 0 is flat
+        d = model.direction
+        vertices = []
+        best = sq(model.center + 40.0 * d / (d @ d) if np.any(d) else model.center)
+    for x in vertices + points:
+        assert sq(x) <= bound * (1.0 + 1e-12)
+    assert bound == pytest.approx(best, rel=1e-12)
+
+
+def dual_points(dim):
+    """Dual vectors with |z| up to 3e3: unit-box entries times one magnitude."""
+    unit = st.lists(finite(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
+    return st.tuples(unit, finite(0.0, 3e3)).map(lambda pair: pair[0] * pair[1])
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 50).flatmap(lambda n: st.tuples(dual_points(n), dual_points(n))))
+def test_entropic_identities_at_extreme_dual_magnitudes(duals):
+    z, z_prime = duals
+    mmap = EntropicSimplexMap(len(z))
+    # every identity below sums terms of size |z|, so rounding scales with it
+    tol = 1e-12 * max(1.0, float(np.abs(z).max()), float(np.abs(z_prime).max()))
+    x = mmap.grad_psi_star(z)
+    assert abs(mmap.psi(x) + mmap.psi_star(z) - float(x @ z)) <= tol
+    moved = mmap.primal_norm(x - mmap.grad_psi_star(z_prime))
+    assert moved <= mmap.lipschitz_grad_conjugate * mmap.dual_norm(z - z_prime) + tol
+    assert mmap.bregman_div_star(z_prime, z) >= -tol
