@@ -6,12 +6,14 @@ restarts over fixed-length windows.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import SystemSpec, Trajectory, energy_value, euler_step, simulate, write_csv
+from .dynamics import (SystemSpec, Trajectory, energy_anchor, energy_value, euler_step,
+                       simulate, wiener_increments, write_csv)
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from .maps import MirrorMap
 from .noise import NoiseModel, NoiseStream, ZeroNoise
@@ -22,20 +24,25 @@ from .schedules import CONSTANT_ONE, PowerLaw, RateBundle
 @dataclass(frozen=True)
 class EnergyContext:
     """Everything the energy needs: geometry, objective with its minimizer
-    certificate, and the rate bundle supplying r(t), s(t)."""
+    certificate, and the rate bundle supplying r(t), s(t). The dual anchor
+    and psi(x*), which the bounds use, are computed once."""
 
     mmap: MirrorMap
     objective: object
     certificate: MinimizerCertificate
     rates: RateBundle
+    anchor: tuple = field(init=False, repr=False, compare=False)
+    psi_x_star: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.certificate.boundary:
             raise BoundaryMinimizer("energy needs an interior dual anchor")
+        object.__setattr__(self, "anchor", energy_anchor(self.mmap, self.certificate.z_star))
+        object.__setattr__(self, "psi_x_star", self.mmap.psi(self.certificate.x_star))
 
     def value(self, x: np.ndarray, z: np.ndarray, t: float) -> float:
         gap = self.objective.value(x) - self.certificate.f_star
-        return energy_value(self.mmap, self.rates, self.certificate.z_star, gap, z, t)
+        return energy_value(self.mmap, self.rates, self.anchor, gap, z, t)
 
     def initial_value(self, x0: np.ndarray, z0: np.ndarray) -> float:
         return self.value(np.asarray(x0, float), np.asarray(z0, float), self.rates.t0)
@@ -50,14 +57,13 @@ def lyapunov_drift_check(traj: Trajectory, ctx: EnergyContext) -> float:
     if not traj.has_energy:
         raise BoundaryMinimizer("trajectory carries no energy series")
     rates = ctx.rates
-    psi_star_pt = ctx.mmap.psi(ctx.certificate.x_star)
     ts, E = traj.times, traj.energy
     worst = -math.inf
     for i in range(1, len(ts) - 1):
         dldt = (E[i + 1] - E[i - 1]) / (ts[i + 1] - ts[i - 1])
         rhs = traj.gap[i] * (
             rates.r.derivative(ts[i]) - rates.eta.value(ts[i])
-        ) + psi_star_pt * rates.s.derivative(ts[i])
+        ) + ctx.psi_x_star * rates.s.derivative(ts[i])
         worst = max(worst, dldt - rhs)
     return worst
 
@@ -66,9 +72,8 @@ def deterministic_rate_bound(ctx: EnergyContext, initial_energy: float, t: float
     """Gap bound (psi(x*) (s(t) - s(t0)) + L0) / r(t) for admissible
     deterministic runs."""
     rates = ctx.rates
-    psi_star_pt = ctx.mmap.psi(ctx.certificate.x_star)
     return (
-        psi_star_pt * (rates.s.value(t) - rates.s.value(rates.t0)) + initial_energy
+        ctx.psi_x_star * (rates.s.value(t) - rates.s.value(rates.t0)) + initial_energy
     ) / rates.r.value(t)
 
 
@@ -96,13 +101,12 @@ def expected_value_bound(
     rates = ctx.rates
     n = ctx.mmap.dim
     lip = ctx.mmap.lipschitz_grad_conjugate
-    psi_star_pt = ctx.mmap.psi(ctx.certificate.x_star)
     correction = 0.5 * n * lip * noise_integral(
         noise.sigma_star_power(), rates.t0, t, times=rates.eta.squared(), per=rates.s
     )
     return (
         initial_energy
-        + psi_star_pt * (rates.s.value(t) - rates.s.value(rates.t0))
+        + ctx.psi_x_star * (rates.s.value(t) - rates.s.value(rates.t0))
         + correction
     ) / rates.r.value(t)
 
@@ -117,14 +121,11 @@ def smd_averaged_bound(
     if t <= t0:
         raise ValueError("bound defined for t > t0")
     s0 = rates.s.value(t0)
-    l_md0 = s0 * ctx.mmap.bregman_div_star(
-        np.asarray(z0, float) / s0, ctx.certificate.z_star
-    )
-    psi_star_pt = ctx.mmap.psi(ctx.certificate.x_star)
+    l_md0 = s0 * ctx.mmap.bregman_div_star_at(np.asarray(z0, float) / s0, *ctx.anchor)
     n = ctx.mmap.dim
     lip = ctx.mmap.lipschitz_grad_conjugate
     correction = noise_integral(noise.sigma_star_power(), t0, t, per=rates.s)
-    return (l_md0 + psi_star_pt * rates.s.value(t) + 0.5 * n * lip * correction) / (t - t0)
+    return (l_md0 + ctx.psi_x_star * rates.s.value(t) + 0.5 * n * lip * correction) / (t - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +374,9 @@ def covariation_check(
     target = (eta0**2) * (float(d0) ** 2) * h * np.eye(n)
 
     increments = np.empty((steps, n))
-    sqrt_h = math.sqrt(h)
-    noisy = spec.is_stochastic
-    for k in range(steps):
-        dW = stream.standard_normals(n) * sqrt_h if noisy else None
+    draws = (wiener_increments(stream, n, steps, h) if spec.is_stochastic
+             else itertools.repeat(None, steps))
+    for k, dW in enumerate(draws):
         x, z, increments[k], _, _ = euler_step(spec, x, z, t0 + k * h, h, dW)
 
     empirical = np.cov(increments.T, ddof=1)

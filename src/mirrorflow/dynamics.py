@@ -35,6 +35,8 @@ STOCHASTIC_KINDS = ("smd", "samd")
 SYSTEM_KINDS = DETERMINISTIC_KINDS + STOCHASTIC_KINDS
 #: primal averaging must be a convex combination: a(t) * h <= this at every step
 AVERAGING_STEP_LIMIT = 0.5
+#: steps of Wiener increments drawn per call into the noise stream
+NOISE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -85,17 +87,25 @@ def md_bundle(alpha_s: float = 0.0, t0: float = 1.0) -> RateBundle:
     return RateBundle(eta=CONSTANT_ONE, r=CONSTANT_ONE, s=PowerLaw(1.0, alpha_s), t0=t0)
 
 
+def energy_anchor(mmap: MirrorMap, z_star: np.ndarray) -> tuple:
+    """The energy's fixed dual anchor (z*, psi*(z*), grad psi*(z*)): compute
+    it once per run and pass it to every `energy_value` call."""
+    z_star = np.asarray(z_star, dtype=float)
+    return z_star, mmap.psi_star(z_star), mmap.grad_psi_star(z_star)
+
+
 def energy_value(
     mmap: MirrorMap,
     rates: RateBundle,
-    z_star: np.ndarray,
+    anchor: tuple,
     gap: float,
     z: np.ndarray,
     t: float,
 ) -> float:
-    """Energy r(t) * gap + s(t) * D_conjugate(z / s(t), z_star)."""
+    """Energy r(t) * gap + s(t) * D_conjugate(z / s(t), z*), with `anchor`
+    from `energy_anchor`."""
     s_t = rates.s.value(t)
-    return rates.r.value(t) * gap + s_t * mmap.bregman_div_star(z / s_t, z_star)
+    return rates.r.value(t) * gap + s_t * mmap.bregman_div_star_at(z / s_t, *anchor)
 
 
 def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None):
@@ -112,32 +122,43 @@ def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None
     of <-eta sigma^T (anchor - x*), dB> and that of the noise strength b.
     The anchor is the time-t mirror point: x itself for md/smd.
     """
-    mmap, rates = spec.mmap, spec.rates
-    averaged = spec.kind in ("amd", "samd")
+    mmap, rates, kind = spec.mmap, spec.rates, spec.kind
     g = spec.objective.gradient(x)
-    dmart = db = 0.0
-    if spec.kind == "nesterov":
+    if kind == "nesterov":
         dz = hk * (-g - z * ((spec.beta + 1.0) / t))
+        return x + hk * z, mmap.dual_projection(z + dz), dz, 0.0, 0.0
+    averaged = kind in ("amd", "samd")
+    eta = rates.eta.value(t) if averaged else 1.0
+    anchor = mmap.grad_psi_star(z / rates.s.value(t)) if averaged else x
+    dmart = db = 0.0
+    # the scalar factor carries the sign: exact, and one array op fewer
+    if dW is None:
+        dz = -(eta * hk) * g
     else:
-        eta = rates.eta.value(t) if averaged else 1.0
-        anchor = mmap.grad_psi_star(z / rates.s.value(t)) if averaged else x
-        # the scalar factor carries the sign: exact, and one array op fewer
-        if dW is None:
-            dz = -(eta * hk) * g
-        else:
-            d = spec.noise.diag(x, t)
-            dz = -eta * (hk * g + d * dW)
-            if x_star is not None:
-                dmart = float((-eta * (d * (anchor - x_star))) @ dW)
-            db = eta * eta * spec.noise.sigma_star_sq(t) * hk
+        noise = spec.noise
+        d = noise.diag(x, t)
+        dz = -eta * (hk * g + d * dW)
+        if x_star is not None:
+            dmart = float((-eta * (d * (anchor - x_star))) @ dW)
+        db = eta * eta * noise.sigma_star_sq(t) * hk
     z_new = mmap.dual_projection(z + dz)
-    if spec.kind == "nesterov":
-        x_new = x + hk * z
-    elif averaged:
+    if averaged:
         x_new = x + (rates.a.value(t) * hk) * (anchor - x)
     else:
         x_new = mmap.grad_psi_star(z_new / rates.s.value(t + hk))
     return x_new, z_new, dz, dmart, db
+
+
+def wiener_increments(stream: NoiseStream, n: int, steps: int, h: float):
+    """Yield `steps` Wiener increments of n coordinates over steps of length
+    h, drawn NOISE_BLOCK_ROWS steps at a time. The stream gives the same
+    numbers whatever the block size, so these are the increments of
+    per-step `stream.standard_normals(n) * sqrt(h)` draws, and the stream
+    ends at the same position."""
+    sqrt_h = math.sqrt(h)
+    for start in range(0, steps, NOISE_BLOCK_ROWS):
+        rows = min(NOISE_BLOCK_ROWS, steps - start)
+        yield from stream.standard_normals(n * rows).reshape(rows, n) * sqrt_h
 
 
 @dataclass
@@ -256,7 +277,8 @@ def simulate(
     t_end, h : horizon and step size (final step clipped onto t_end).
     record_stride : record every this-many steps (plus the final state).
     stream : per-trajectory Gaussian increment source; required for
-        stochastic runs with a non-zero noise model.
+        stochastic runs with a non-zero noise model. A completed run leaves
+        it at position n * steps; one that raises may have drawn further.
     enforce_admissible : validate the averaged systems' rate conditions on
         [t0, t_end] before running (disable for diagnostic runs only).
 
@@ -292,10 +314,11 @@ def simulate(
     n = mmap.dim
     f_star = certificate.f_star
     track_energy = spec.kind != "nesterov" and not certificate.boundary
-    z_star = certificate.z_star if track_energy else None
+    anchor = energy_anchor(mmap, certificate.z_star) if track_energy else None
     x_star = certificate.x_star if track_energy else None
 
     n_steps, exact_span = step_count(t0, t_end, h)
+    full_steps = n_steps if exact_span else n_steps - 1  # steps of length h
     rec_rows, times = record_grid(t0, t_end, h, record_stride)
     m = len(rec_rows)
     xs = np.empty((m, n))
@@ -312,9 +335,9 @@ def simulate(
     else:
         z = np.array(spec.z0, dtype=float)
 
+    increments = wiener_increments(stream, n, full_steps, h) if noisy else None
     mart = 0.0
     b_acc = 0.0
-    sqrt_h = math.sqrt(h)
     ri = 0
     for k in range(n_steps + 1):
         if k < n_steps or exact_span:
@@ -327,24 +350,24 @@ def simulate(
             gap = objective.value(x) - f_star
             gaps[ri] = gap
             if track_energy:
-                energies[ri] = energy_value(mmap, rates, z_star, gap, z, t)
+                energies[ri] = energy_value(mmap, rates, anchor, gap, z, t)
                 marts[ri] = mart
             bs[ri] = b_acc
             ri += 1
         if k == n_steps:
             break
-        if exact_span or k < n_steps - 1:
-            hk, sq_hk = h, sqrt_h
+        if k < full_steps:
+            hk = h
+            dW = next(increments) if noisy else None
         else:
-            hk = t_end - t  # clipped final step of an inexact span
-            sq_hk = math.sqrt(hk)
+            hk = t_end - t  # clipped final step of an inexact span, drawn alone
+            dW = stream.standard_normals(n) * math.sqrt(hk) if noisy else None
 
-        dW = stream.standard_normals(n) * sq_hk if noisy else None
         x, z, _, dmart, db = euler_step(spec, x, z, t, hk, dW, x_star)
         mart += dmart
         b_acc += db
 
-        if not math.isfinite(float(x.sum()) + float(z.sum())):
+        if not math.isfinite(float(np.add.reduce(x)) + float(np.add.reduce(z))):
             raise NonFinite(f"state became non-finite at step {k} (t = {t:g})")
 
     return Trajectory(

@@ -22,14 +22,14 @@ INTERIOR_THRESHOLD = 1e-8
 
 def log_sum_exp(z: np.ndarray) -> float:
     """Numerically stable log(sum(exp(z))) via max subtraction."""
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m))))
+    m = float(np.maximum.reduce(z))
+    return m + float(np.log(np.add.reduce(np.exp(z - m))))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Stable softmax; invariant under adding a multiple of the ones vector."""
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
+    e = np.exp(z - np.maximum.reduce(z))
+    return e / np.add.reduce(e)
 
 
 class MirrorMap(ABC):
@@ -95,13 +95,17 @@ class MirrorMap(ABC):
     def bregman_div_star(self, z_prime: np.ndarray, z: np.ndarray) -> float:
         """Bregman divergence of the conjugate,
         psi_star(z') - psi_star(z) - <grad_psi_star(z), z' - z>. Non-negative."""
-        z_prime = np.asarray(z_prime, dtype=float)
         z = np.asarray(z, dtype=float)
-        return (
-            self.psi_star(z_prime)
-            - self.psi_star(z)
-            - float(self.grad_psi_star(z) @ (z_prime - z))
+        return self.bregman_div_star_at(
+            np.asarray(z_prime, dtype=float), z, self.psi_star(z), self.grad_psi_star(z)
         )
+
+    def bregman_div_star_at(
+        self, z_prime: np.ndarray, z: np.ndarray, psi_star_z: float, grad_z: np.ndarray
+    ) -> float:
+        """`bregman_div_star(z_prime, z)` with psi_star(z) and
+        grad_psi_star(z) supplied, for a z that stays fixed across calls."""
+        return self.psi_star(z_prime) - psi_star_z - float(grad_z @ (z_prime - z))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -135,7 +139,8 @@ class EntropicSimplexMap(MirrorMap):
 
     def dual_projection(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        return z - z.mean()
+        # z - z.mean(), bit for bit, without the generic mean's overhead
+        return z - np.add.reduce(z) / self.dim
 
     def dual_of(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

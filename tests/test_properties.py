@@ -5,7 +5,7 @@ the entropic map's identities at extreme dual magnitudes."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mirrorflow.config import (
@@ -29,12 +29,6 @@ from mirrorflow.noise import (
     StateScaledNoise,
     ZeroNoise,
 )
-
-PROPERTY_SETTINGS = settings(
-    max_examples=60, deadline=None, database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
 
 def finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
@@ -94,7 +88,6 @@ def valid_configs(draw):
     )
 
 
-@PROPERTY_SETTINGS
 @given(valid_configs())
 def test_emit_then_parse_is_identity(cfg):
     assert validate(cfg) == []
@@ -127,7 +120,6 @@ def averaged_rate_configs(draw):
     )
 
 
-@PROPERTY_SETTINGS
 @given(averaged_rate_configs())
 def test_validate_rejects_exactly_what_simulate_rejects(cfg):
     violations = validate(cfg)
@@ -149,7 +141,6 @@ def test_rate_strategy_reaches_both_verdicts():
     """Both branches of the property above are exercised."""
     verdicts = set()
 
-    @PROPERTY_SETTINGS
     @given(averaged_rate_configs())
     def collect(cfg):
         verdicts.add(not validate(cfg))
@@ -197,7 +188,6 @@ def noise_models(draw):
     return model, sigma0 == 0.0
 
 
-@PROPERTY_SETTINGS
 @given(noise_models(), finite(0.01, 1e3))
 def test_every_noise_model_bounds_sigma_star_by_a_power_law(drawn, t):
     model, zero = drawn
@@ -227,7 +217,6 @@ def state_scaled_models(draw):
     return StateScaledNoise(base, direction, center, gain, mmap=mmap), mmap
 
 
-@PROPERTY_SETTINGS
 @given(state_scaled_models(), st.data(), finite(0.01, 1e3))
 def test_state_scaled_sigma_star_is_the_exact_sup(drawn, data, t):
     model, mmap = drawn
@@ -256,7 +245,6 @@ def dual_points(dim):
     return st.tuples(unit, finite(0.0, 3e3)).map(lambda pair: pair[0] * pair[1])
 
 
-@PROPERTY_SETTINGS
 @given(st.integers(2, 50).flatmap(lambda n: st.tuples(dual_points(n), dual_points(n))))
 def test_entropic_identities_at_extreme_dual_magnitudes(duals):
     z, z_prime = duals
