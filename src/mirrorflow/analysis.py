@@ -48,26 +48,6 @@ class EnergyContext:
         return self.value(np.asarray(x0, float), np.asarray(z0, float), self.rates.t0)
 
 
-def lyapunov_drift_check(traj: Trajectory, ctx: EnergyContext) -> float:
-    """Max excess of the central-difference energy derivative over the drift
-    bound gap * (r' - eta) + psi(x*) * s' along a deterministic averaged run.
-    The excess is a discretization artifact and shrinks with h."""
-    if traj.record_stride != 1:
-        raise ValueError("per-step recording required")
-    if not traj.has_energy:
-        raise BoundaryMinimizer("trajectory carries no energy series")
-    rates = ctx.rates
-    ts, E = traj.times, traj.energy
-    worst = -math.inf
-    for i in range(1, len(ts) - 1):
-        dldt = (E[i + 1] - E[i - 1]) / (ts[i + 1] - ts[i - 1])
-        rhs = traj.gap[i] * (
-            rates.r.derivative(ts[i]) - rates.eta.value(ts[i])
-        ) + ctx.psi_x_star * rates.s.derivative(ts[i])
-        worst = max(worst, dldt - rhs)
-    return worst
-
-
 def deterministic_rate_bound(ctx: EnergyContext, initial_energy: float, t: float) -> float:
     """Gap bound (psi(x*) (s(t) - s(t0)) + L0) / r(t) for admissible
     deterministic runs."""

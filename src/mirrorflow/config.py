@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .dynamics import SystemSpec, md_bundle, nesterov_bundle, step_guard
+from .dynamics import SystemSpec, md_bundle, nesterov_bundle, step_fits_span, step_guard
 from .errors import ParseError, ValidationError
 from .maps import make_map
 from .noise import ZeroNoise, make_noise
@@ -268,7 +268,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         )
     if not 0 < cfg.t0 < cfg.t_end:
         bad.append("need 0 < run.t0 < run.t_end")
-    if cfg.h <= 0 or cfg.h > cfg.t_end - cfg.t0:
+    if not step_fits_span(cfg.t0, cfg.t_end, cfg.h):
         bad.append("need 0 < run.h <= t_end - t0")
     if cfg.record_stride < 1:
         bad.append("run.record_stride must be >= 1")

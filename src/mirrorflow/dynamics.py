@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, StepTooLarge, StrideTooCoarse
+from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
 from .maps import EuclideanMap, MirrorMap
 from .noise import NoiseModel, NoiseStream
 from .objectives import MinimizerCertificate, Objective
@@ -63,6 +63,9 @@ class SystemSpec:
                 raise ValueError("the second-order oscillator requires the euclidean map")
             if self.beta is None or self.beta < 2.0:
                 raise ValueError("oscillator friction beta must be >= 2")
+        if np.shape(self.x0) != (self.mmap.dim,):  # the map also admits stacked points
+            raise InfeasiblePoint(f"x0 must have shape ({self.mmap.dim},), "
+                                  f"got {np.shape(self.x0)}")
         self.mmap.require_feasible(np.asarray(self.x0, dtype=float))
 
     @property
@@ -98,14 +101,27 @@ def energy_value(
     mmap: MirrorMap,
     rates: RateBundle,
     anchor: tuple,
-    gap: float,
+    gap,
     z: np.ndarray,
-    t: float,
-) -> float:
+    t,
+):
     """Energy r(t) * gap + s(t) * D_conjugate(z / s(t), z*), with `anchor`
-    from `energy_anchor`."""
-    s_t = rates.s.value(t)
-    return rates.r.value(t) * gap + s_t * mmap.bregman_div_star_at(z / s_t, *anchor)
+    from `energy_anchor`. Rows may be stacked: gaps and times of shape (...)
+    with duals of shape (..., n) give the energy of each row."""
+    s_t = _law_at(rates.s, t)
+    return _law_at(rates.r, t) * gap + s_t * mmap.bregman_div_star_at(
+        z / s_t[..., None], *anchor
+    )
+
+
+def _law_at(law: PowerLaw, t) -> np.ndarray:
+    """law.value at t, or at each of an array of times, through the Python
+    `**` one time at a time: numpy's array `**` can differ in the last bit."""
+    if np.ndim(t) == 0:
+        return np.asarray(law.value(t))
+    t = np.asarray(t, dtype=float)
+    values = map(law.value, map(float, t.flat))
+    return np.fromiter(values, dtype=float, count=t.size).reshape(t.shape)
 
 
 def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None):
@@ -129,7 +145,7 @@ def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None
         return x + hk * z, mmap.dual_projection(z + dz), dz, 0.0, 0.0
     averaged = kind in ("amd", "samd")
     eta = rates.eta.value(t) if averaged else 1.0
-    anchor = mmap.grad_psi_star(z / rates.s.value(t)) if averaged else x
+    anchor = mmap.grad_psi_star(_scaled(z, rates.s.value(t))) if averaged else x
     dmart = db = 0.0
     # the scalar factor carries the sign: exact, and one array op fewer
     if dW is None:
@@ -145,8 +161,13 @@ def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None
     if averaged:
         x_new = x + (rates.a.value(t) * hk) * (anchor - x)
     else:
-        x_new = mmap.grad_psi_star(z_new / rates.s.value(t + hk))
+        x_new = mmap.grad_psi_star(_scaled(z_new, rates.s.value(t + hk)))
     return x_new, z_new, dz, dmart, db
+
+
+def _scaled(z: np.ndarray, s_t: float) -> np.ndarray:
+    """z / s_t, skipping the division when s_t == 1.0, where it is exact."""
+    return z if s_t == 1.0 else z / s_t
 
 
 def wiener_increments(stream: NoiseStream, n: int, steps: int, h: float):
@@ -245,6 +266,13 @@ def step_count(t0: float, t_end: float, h: float) -> tuple[int, bool]:
     return max(math.ceil(span), 1), False
 
 
+def step_fits_span(t0: float, t_end: float, h: float) -> bool:
+    """Whether 0 < h <= t_end - t0, with the 1e-9 tolerance of `step_count`:
+    a span it counts as one exact step admits h even when t_end - t0 rounds
+    below h."""
+    return h > 0 and step_count(t0, t_end, h) != (1, False)
+
+
 def record_grid(
     t0: float, t_end: float, h: float, record_stride: int
 ) -> tuple[list[int], np.ndarray]:
@@ -290,7 +318,7 @@ def simulate(
     t0 = rates.t0
     if t_end <= t0:
         raise ValueError("t_end must exceed the bundle start time")
-    if h <= 0 or h > t_end - t0:
+    if not step_fits_span(t0, t_end, h):
         raise ValueError("need 0 < h <= t_end - t0")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
@@ -323,10 +351,8 @@ def simulate(
     m = len(rec_rows)
     xs = np.empty((m, n))
     zs = np.empty((m, n))
-    gaps = np.empty(m)
-    energies = np.empty(m) if track_energy else None
     bs = np.empty(m)
-    marts = np.empty(m) if track_energy else None
+    marts = np.empty(m)
 
     x = np.array(spec.x0, dtype=float)
     if spec.kind == "nesterov":
@@ -340,22 +366,15 @@ def simulate(
     b_acc = 0.0
     ri = 0
     for k in range(n_steps + 1):
-        if k < n_steps or exact_span:
-            t = t0 + k * h
-        else:
-            t = t_end
         if ri < m and k == rec_rows[ri]:
             xs[ri] = x
             zs[ri] = z
-            gap = objective.value(x) - f_star
-            gaps[ri] = gap
-            if track_energy:
-                energies[ri] = energy_value(mmap, rates, anchor, gap, z, t)
-                marts[ri] = mart
+            marts[ri] = mart
             bs[ri] = b_acc
             ri += 1
         if k == n_steps:
             break
+        t = t0 + k * h
         if k < full_steps:
             hk = h
             dW = next(increments) if noisy else None
@@ -367,9 +386,15 @@ def simulate(
         mart += dmart
         b_acc += db
 
-        if not math.isfinite(float(np.add.reduce(x)) + float(np.add.reduce(z))):
-            raise NonFinite(f"state became non-finite at step {k} (t = {t:g})")
+        # a sum of a list is finite exactly when every coordinate is, short
+        # of overflow, whatever the order it adds them in
+        if not math.isfinite(sum(x.tolist())) or not math.isfinite(sum(z.tolist())):
+            part = "x" if not math.isfinite(sum(x.tolist())) else "z"
+            raise NonFinite(f"{part} became non-finite at step {k}; "
+                            f"the last finite state is at t = {t:g}")
 
+    gaps = objective.value(xs) - f_star
+    energies = energy_value(mmap, rates, anchor, gaps, zs, times) if track_energy else None
     return Trajectory(
         times=times,
         x=xs,
@@ -377,7 +402,7 @@ def simulate(
         gap=gaps,
         energy=energies,
         b=bs,
-        martingale=marts,
+        martingale=marts if track_energy else None,
         h=h,
         record_stride=record_stride,
         spec=spec,
@@ -412,9 +437,8 @@ def primal_average_residual(traj: Trajectory) -> float:
     rates = traj.spec.rates
     mmap = traj.spec.mmap
     ts = traj.times
-    mirrors = np.array(
-        [mmap.grad_psi_star(traj.z[i] / rates.s.value(ts[i])) for i in range(len(ts))]
-    )
+    s = np.array([rates.s.value(t) for t in ts])
+    mirrors = mmap.grad_psi_star(traj.z / s[:, None])
     w = np.array([averaging_weight(rates.a, rates.t0, t) for t in ts])
     wdot = np.array([rates.a.value(t) for t in ts]) * w
     integrand = wdot[:, None] * mirrors

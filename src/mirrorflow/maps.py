@@ -20,16 +20,40 @@ SIMPLEX_TOL = 1e-9
 INTERIOR_THRESHOLD = 1e-8
 
 
-def log_sum_exp(z: np.ndarray) -> float:
-    """Numerically stable log(sum(exp(z))) via max subtraction."""
-    m = float(np.maximum.reduce(z))
-    return m + float(np.log(np.add.reduce(np.exp(z - m))))
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """<a, b> over the last axis of stacked (..., n) operands. The stacked
+    matmul takes the same dot kernel per row as `a @ b` on one pair, so each
+    row keeps its bits; `a @ b` on a stack (a gemv) does not."""
+    return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]
+
+
+def log_sum_exp(z: np.ndarray):
+    """Numerically stable log(sum(exp(z))) over the last axis via max
+    subtraction."""
+    m = np.maximum.reduce(z, axis=-1)
+    return m + np.log(np.add.reduce(np.exp(z - m[..., None]), axis=-1))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax; invariant under adding a multiple of the ones vector."""
-    e = np.exp(z - np.maximum.reduce(z))
-    return e / np.add.reduce(e)
+    """Stable softmax over the last axis; invariant under adding a multiple
+    of the ones vector. One point takes its shift from the list, which is
+    exact and cheaper than a numpy reduction on a short vector."""
+    if z.ndim == 1:
+        e = np.exp(z - max(z.tolist()))
+        return e / np.add.reduce(e)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _points(x: np.ndarray, dim: int) -> np.ndarray:
+    """x as a float array of finite points of `dim` coordinates, one point
+    or a (..., dim) stack; raise InfeasiblePoint otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise InfeasiblePoint(f"expected shape (..., {dim}), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InfeasiblePoint("non-finite coordinates")
+    return x
 
 
 class MirrorMap(ABC):
@@ -37,7 +61,9 @@ class MirrorMap(ABC):
     conjugate: potential values, conjugate values, the dual-to-primal
     gradient, and the dual Bregman divergence.
 
-    Instances are immutable; every method is pure.
+    Instances are immutable; every method is pure. Points may be stacked:
+    a (..., n) array holds one point per row, and a value becomes an array
+    of shape (...), equal row by row to the value at each point alone.
     """
 
     kind: str
@@ -52,11 +78,11 @@ class MirrorMap(ABC):
         self.dim = int(dim)
 
     @abstractmethod
-    def psi(self, x: np.ndarray) -> float:
+    def psi(self, x: np.ndarray):
         """Potential value at a feasible point."""
 
     @abstractmethod
-    def psi_star(self, z: np.ndarray) -> float:
+    def psi_star(self, z: np.ndarray):
         """Conjugate value sup_x <z, x> - psi(x) at a dual point."""
 
     @abstractmethod
@@ -76,11 +102,11 @@ class MirrorMap(ABC):
         """Raise InfeasiblePoint if x is outside the feasible set tolerance."""
 
     @abstractmethod
-    def primal_norm(self, v: np.ndarray) -> float:
+    def primal_norm(self, v: np.ndarray):
         """Reference norm on the primal space."""
 
     @abstractmethod
-    def dual_norm(self, v: np.ndarray) -> float:
+    def dual_norm(self, v: np.ndarray):
         """Norm dual to the primal reference norm."""
 
     @property
@@ -92,7 +118,7 @@ class MirrorMap(ABC):
     def support(self, d: np.ndarray) -> float:
         """Support function: sup over the feasible set of <d, x> (inf if unbounded)."""
 
-    def bregman_div_star(self, z_prime: np.ndarray, z: np.ndarray) -> float:
+    def bregman_div_star(self, z_prime: np.ndarray, z: np.ndarray):
         """Bregman divergence of the conjugate,
         psi_star(z') - psi_star(z) - <grad_psi_star(z), z' - z>. Non-negative."""
         z = np.asarray(z, dtype=float)
@@ -100,12 +126,10 @@ class MirrorMap(ABC):
             np.asarray(z_prime, dtype=float), z, self.psi_star(z), self.grad_psi_star(z)
         )
 
-    def bregman_div_star_at(
-        self, z_prime: np.ndarray, z: np.ndarray, psi_star_z: float, grad_z: np.ndarray
-    ) -> float:
+    def bregman_div_star_at(self, z_prime: np.ndarray, z: np.ndarray, psi_star_z, grad_z):
         """`bregman_div_star(z_prime, z)` with psi_star(z) and
         grad_psi_star(z) supplied, for a z that stays fixed across calls."""
-        return self.psi_star(z_prime) - psi_star_z - float(grad_z @ (z_prime - z))
+        return self.psi_star(z_prime) - psi_star_z - row_dot(z_prime - z, grad_z)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -123,15 +147,15 @@ class EntropicSimplexMap(MirrorMap):
 
     kind = "entropic-simplex"
 
-    def psi(self, x: np.ndarray) -> float:
+    def psi(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         self.require_feasible(x)
         xc = np.clip(x, 0.0, None)
         # x log x extended by 0 at x = 0
         terms = np.where(xc > 0.0, xc * np.log(np.where(xc > 0.0, xc, 1.0)), 0.0)
-        return float(terms.sum()) + np.log(self.dim)
+        return np.add.reduce(terms, axis=-1) + np.log(self.dim)
 
-    def psi_star(self, z: np.ndarray) -> float:
+    def psi_star(self, z: np.ndarray):
         return log_sum_exp(np.asarray(z, dtype=float)) - np.log(self.dim)
 
     def grad_psi_star(self, z: np.ndarray) -> np.ndarray:
@@ -154,21 +178,19 @@ class EntropicSimplexMap(MirrorMap):
         return z - z.mean()
 
     def require_feasible(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InfeasiblePoint(f"expected shape ({self.dim},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InfeasiblePoint("non-finite coordinates")
-        if abs(float(x.sum()) - 1.0) > SIMPLEX_TOL:
-            raise InfeasiblePoint(f"coordinates sum to {float(x.sum()):.12f}, not 1")
+        x = _points(x, self.dim)
+        sums = np.add.reduce(x, axis=-1).ravel()
+        worst = float(sums[np.argmax(np.abs(sums - 1.0))])
+        if abs(worst - 1.0) > SIMPLEX_TOL:
+            raise InfeasiblePoint(f"coordinates sum to {worst:.12f}, not 1")
         if float(x.min()) < -SIMPLEX_TOL:
             raise InfeasiblePoint(f"negative coordinate {float(x.min()):.3e}")
 
-    def primal_norm(self, v: np.ndarray) -> float:
-        return float(np.abs(v).sum())
+    def primal_norm(self, v: np.ndarray):
+        return np.add.reduce(np.abs(v), axis=-1)
 
-    def dual_norm(self, v: np.ndarray) -> float:
-        return float(np.abs(v).max())
+    def dual_norm(self, v: np.ndarray):
+        return np.maximum.reduce(np.abs(v), axis=-1)
 
     @property
     def diameter(self) -> float:
@@ -189,14 +211,14 @@ class EuclideanMap(MirrorMap):
 
     kind = "euclidean"
 
-    def psi(self, x: np.ndarray) -> float:
+    def psi(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         self.require_feasible(x)
-        return 0.5 * float(x @ x)
+        return 0.5 * row_dot(x, x)
 
-    def psi_star(self, z: np.ndarray) -> float:
+    def psi_star(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
-        return 0.5 * float(z @ z)
+        return 0.5 * row_dot(z, z)
 
     def grad_psi_star(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float).copy()
@@ -210,17 +232,14 @@ class EuclideanMap(MirrorMap):
         return x.copy()
 
     def require_feasible(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InfeasiblePoint(f"expected shape ({self.dim},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InfeasiblePoint("non-finite coordinates")
+        _points(x, self.dim)
 
-    def primal_norm(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v))
+    def primal_norm(self, v: np.ndarray):
+        # the root of a dot, as np.linalg.norm takes it for one vector
+        return np.sqrt(row_dot(v, v))
 
-    def dual_norm(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v))
+    def dual_norm(self, v: np.ndarray):
+        return np.sqrt(row_dot(v, v))
 
     @property
     def diameter(self) -> float:

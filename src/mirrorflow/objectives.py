@@ -16,9 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .maps import INTERIOR_THRESHOLD, EntropicSimplexMap, EuclideanMap, MirrorMap, softmax
+from .maps import (INTERIOR_THRESHOLD, EntropicSimplexMap, EuclideanMap, MirrorMap, row_dot,
+                   softmax)
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _point_or_rows(values):
+    """A float for one point; the array for a (..., n) stack of points."""
+    return float(values) if values.ndim == 0 else values
 
 
 class Objective(ABC):
@@ -29,7 +35,9 @@ class Objective(ABC):
         self.dim = int(dim)
 
     @abstractmethod
-    def value(self, x: np.ndarray) -> float: ...
+    def value(self, x: np.ndarray):
+        """f(x) at one point, or an array of f at each row of a (..., n)
+        stack, equal bit for bit to the values at the points one by one."""
 
     @abstractmethod
     def gradient(self, x: np.ndarray) -> np.ndarray: ...
@@ -54,8 +62,10 @@ class SumExp(Objective):
         super().__init__(coefficients.shape[1])
         self.coefficients = coefficients
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.exp(self.coefficients @ x).sum())
+    def value(self, x: np.ndarray):
+        # a stacked matmul applies C to each row as `C @ x` does, bit for bit
+        inner = np.matmul(self.coefficients, np.asarray(x)[..., None])[..., 0]
+        return _point_or_rows(np.add.reduce(np.exp(inner), axis=-1))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.coefficients @ x) @ self.coefficients
@@ -86,8 +96,8 @@ class Rank1Quadratic(Objective):
         super().__init__(c.shape[0])
         self.c = c
 
-    def value(self, x: np.ndarray) -> float:
-        u = float(self.c @ x)
+    def value(self, x: np.ndarray):
+        u = _point_or_rows(row_dot(np.asarray(x), self.c))
         return 0.5 * u * u  # u * u overflows to inf instead of raising
 
     def gradient(self, x: np.ndarray) -> np.ndarray:

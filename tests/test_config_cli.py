@@ -191,6 +191,15 @@ class TestCli:
         assert "config_sha256" in manifest
         assert "base_seed = 11" in manifest
 
+    def test_simulate_one_exact_step_below_its_rounded_span(self, tmp_path):
+        # 1.005 - 1.0 rounds below run.h = 0.005, yet the span is one step
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(MINIMAL + f"run.t0 = 1.0\nrun.t_end = 1.005\nrun.h = 0.005\n"
+                                 f"out = {tmp_path / 'run'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = np.loadtxt(tmp_path / "run" / "trajectory_000.csv", delimiter=",", skiprows=1)
+        assert data[:, 0].tolist() == [1.0, 1.0 + 0.005]
+
     def test_ensemble_outputs_and_determinism(self, quick_cfg, tmp_path):
         assert main(["ensemble", "--config", str(quick_cfg)]) == 0
         out = tmp_path / "run"

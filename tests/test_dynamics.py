@@ -333,8 +333,34 @@ class TestGuards:
             kind="md", mmap=m, objective=obj, rates=md_bundle(),
             noise=ZeroNoise(1), x0=np.array([1e300]), z0=np.array([1e300]),
         )
-        with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
+        # z grows by 1.5x per step and x = z: both overflow in step 45
+        with pytest.raises(NonFinite, match=r"^x became non-finite at step 45; the last "
+                                            r"finite state is at t = 113\.5$"), \
+                np.errstate(over="ignore", invalid="ignore"):
             simulate(spec, cert, t_end=151.0, h=2.5)
+        # the oscillator's velocity (z) overflows in step 0, while x moves to
+        # x0 + h v0 = 1e308, still finite
+        spec = SystemSpec(
+            kind="nesterov", mmap=m, objective=obj, rates=nesterov_bundle(2.0),
+            noise=ZeroNoise(1), x0=np.zeros(1), z0=np.array([1e307]), beta=2.0,
+        )
+        with pytest.raises(NonFinite, match=r"^z became non-finite at step 0; the last "
+                                            r"finite state is at t = 1$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate(spec, cert, t_end=11.0, h=5.0)
+
+    def test_one_exact_step_below_its_rounded_span(self, simplex3, default_objective,
+                                                   default_certificate):
+        # 1.005 - 1.0 rounds below 0.005, yet the span is one step of h
+        spec = SystemSpec(
+            kind="md", mmap=simplex3, objective=default_objective, rates=md_bundle(),
+            noise=ZeroNoise(3), x0=np.ones(3) / 3, z0=np.zeros(3),
+        )
+        assert 1.005 - 1.0 < 0.005
+        traj = simulate(spec, default_certificate, t_end=1.005, h=0.005)
+        np.testing.assert_array_equal(traj.times, [1.0, 1.0 + 0.005])
+        with pytest.raises(ValueError, match="need 0 < h <= t_end - t0"):
+            simulate(spec, default_certificate, t_end=1.005, h=0.00501)
 
 
 class TestAveragedIterate:

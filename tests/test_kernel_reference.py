@@ -171,7 +171,7 @@ def runs(draw):
                  if kind in ("amd", "samd") else md_bundle(draw(finite(0.0, 1.0))))
     spec = SystemSpec(kind=kind, mmap=mmap, objective=objective, rates=rates, noise=noise,
                       x0=x0, z0=mmap.dual_of(x0) if euclid else np.log(x0), beta=beta)
-    steps = draw(st.integers(2, 600))
+    steps = draw(st.integers(1, 600))
     # an inexact span clips its last step to a fraction of h
     frac = draw(st.sampled_from([0.0, 0.0, 0.3, 0.77]))
     t_end = rates.t0 + (steps + frac) * h

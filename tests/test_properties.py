@@ -1,7 +1,8 @@
 """Property-based checks: the scenario text round trip, the agreement
 between configuration admission and what the integrator accepts, the
-power-law form and exactness of every noise model's volatility bound, and
-the entropic map's identities at extreme dual magnitudes."""
+power-law form and exactness of every noise model's volatility bound, the
+entropic map's identities at extreme dual magnitudes, and stacked
+evaluation equal to row-by-row evaluation."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mirrorflow.config import (
     parse_config,
     validate,
 )
-from mirrorflow.dynamics import simulate
+from mirrorflow.dynamics import energy_anchor, energy_value, simulate
 from mirrorflow.errors import StepTooLarge
 from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
 from mirrorflow.noise import (
@@ -29,6 +30,8 @@ from mirrorflow.noise import (
     StateScaledNoise,
     ZeroNoise,
 )
+from mirrorflow.objectives import Rank1Quadratic, SumExp
+from mirrorflow.schedules import coupled_bundle
 
 def finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
@@ -256,3 +259,67 @@ def test_entropic_identities_at_extreme_dual_magnitudes(duals):
     moved = mmap.primal_norm(x - mmap.grad_psi_star(z_prime))
     assert moved <= mmap.lipschitz_grad_conjugate * mmap.dual_norm(z - z_prime) + tol
     assert mmap.bregman_div_star(z_prime, z) >= -tol
+
+
+@st.composite
+def stacks(draw):
+    """Rows of duals with |z| up to 3e3 and of feasible points (some of them
+    vertices on the simplex) for either map at n from 1 to 50, with gaps,
+    times and a rate bundle for the energy."""
+    n = draw(st.integers(1, 50))
+    rows = draw(st.integers(1, 40))
+    mmap = draw(st.sampled_from([EntropicSimplexMap(n), EuclideanMap(n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 30.0, 3e3]))
+    zs = rng.uniform(-1.0, 1.0, (rows, n)) * rng.uniform(0.0, scale, (rows, 1))
+    if isinstance(mmap, EntropicSimplexMap):
+        xs = mmap.grad_psi_star(rng.uniform(-1.0, 1.0, (rows, n)) * scale)
+        xs[rng.uniform(size=rows) < 0.2] = np.eye(n)[0]
+    else:
+        xs = rng.uniform(-1.0, 1.0, (rows, n)) * scale
+    z_star = rng.uniform(-1.0, 1.0, n) * scale
+    rates = coupled_bundle(draw(finite(0.1, 3.0)), draw(finite(0.0, 1.0)))
+    times = rng.uniform(0.5, 300.0, rows)
+    gaps = rng.uniform(0.0, 10.0, rows)
+    # <c_i, x> stays within 2n, so exp does not overflow
+    objective = draw(st.sampled_from([
+        SumExp(rng.uniform(-2.0, 2.0, (int(rng.integers(1, 4)), n))
+               / max(1.0, float(np.abs(xs).max()))),
+        Rank1Quadratic(rng.uniform(-2.0, 2.0, n)),
+    ]))
+    return mmap, objective, zs, xs, z_star, rates, times, gaps
+
+
+@given(stacks())
+def test_stacked_evaluation_equals_row_by_row_bitwise(stack):
+    mmap, objective, zs, xs, z_star, rates, times, gaps = stack
+
+    def same(stacked, one_by_one):
+        for shape in ((len(zs),), (1, len(zs))):
+            got = stacked(shape)
+            assert got.shape == shape
+            np.testing.assert_array_equal(got.ravel(), np.array(one_by_one))
+
+    def rows_of(a, shape):
+        return a.reshape(shape + a.shape[1:])
+
+    same(lambda sh: objective.value(rows_of(xs, sh)), [objective.value(x) for x in xs])
+    same(lambda sh: mmap.psi(rows_of(xs, sh)), [mmap.psi(x) for x in xs])
+    same(lambda sh: mmap.psi_star(rows_of(zs, sh)), [mmap.psi_star(z) for z in zs])
+    same(lambda sh: mmap.primal_norm(rows_of(zs, sh)), [mmap.primal_norm(z) for z in zs])
+    same(lambda sh: mmap.dual_norm(rows_of(zs, sh)), [mmap.dual_norm(z) for z in zs])
+    np.testing.assert_array_equal(mmap.grad_psi_star(zs),
+                                  np.array([mmap.grad_psi_star(z) for z in zs]))
+    np.testing.assert_array_equal(mmap.grad_psi_star(zs[None]),
+                                  np.array([mmap.grad_psi_star(zs)]))
+    anchor = energy_anchor(mmap, z_star)
+    same(lambda sh: mmap.bregman_div_star_at(rows_of(zs, sh), *anchor),
+         [mmap.bregman_div_star_at(z, *anchor) for z in zs])
+    partners = zs[::-1]
+    same(lambda sh: mmap.bregman_div_star(rows_of(zs, sh), rows_of(partners, sh)),
+         [mmap.bregman_div_star(z, w) for z, w in zip(zs, partners)])
+    # one time at a time, as a Python float, the way `simulate` used to pass it
+    same(lambda sh: energy_value(mmap, rates, anchor, gaps.reshape(sh), rows_of(zs, sh),
+                                 times.reshape(sh)),
+         [energy_value(mmap, rates, anchor, g, z, t)
+          for g, z, t in zip(gaps.tolist(), zs, times.tolist())])
