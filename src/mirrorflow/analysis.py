@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (SystemSpec, Trajectory, energy_anchor, energy_value, euler_step,
-                       simulate, wiener_increments, write_csv)
+from .dynamics import (SystemSpec, Trajectory, bind_step, energy_anchor, energy_value,
+                       noise_blocks, simulate, wiener_increments, write_csv)
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from .maps import MirrorMap
 from .noise import NoiseModel, NoiseStream, ZeroNoise
@@ -325,7 +325,7 @@ def covariation_check(
     """Empirical covariance of the raw dual increments against the
     theoretical eta^2 Sigma h over `steps` steps.
 
-    Raw increments (`euler_step`'s dz) are taken before the stabilizing
+    Raw increments (the step's dz) are taken before the stabilizing
     dual projection (the projection removes the mean component and would
     otherwise distort the covariance without affecting the primal path).
     Requires a constant learning rate and a time-constant scalar/diagonal
@@ -353,11 +353,13 @@ def covariation_check(
         raise ValueError("time-constant noise required for a constant target")
     target = (eta0**2) * (float(d0) ** 2) * h * np.eye(n)
 
+    advance = bind_step(spec)
     increments = np.empty((steps, n))
-    draws = (wiener_increments(stream, n, steps, h) if spec.is_stochastic
-             else itertools.repeat(None, steps))
-    for k, dW in enumerate(draws):
-        x, z, increments[k], _, _ = euler_step(spec, x, z, t0 + k * h, h, dW)
+    for start, stop in noise_blocks(steps):
+        draws = (wiener_increments(stream, n, stop - start, h) if spec.is_stochastic
+                 else itertools.repeat(None, stop - start))
+        for k, dW in zip(range(start, stop), draws):
+            x, z, increments[k], _, _, _ = advance(x, z, t0 + k * h, h, dW)
 
     empirical = np.cov(increments.T, ddof=1)
     if noise.is_zero:

@@ -268,7 +268,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         )
     if not 0 < cfg.t0 < cfg.t_end:
         bad.append("need 0 < run.t0 < run.t_end")
-    if not step_fits_span(cfg.t0, cfg.t_end, cfg.h):
+    if cfg.h > 0 and math.isinf((cfg.t_end - cfg.t0) / cfg.h):
+        bad.append(f"run.h = {cfg.h!r} is too small: (run.t_end - run.t0) / run.h overflows")
+    elif not step_fits_span(cfg.t0, cfg.t_end, cfg.h):
         bad.append("need 0 < run.h <= t_end - t0")
     if cfg.record_stride < 1:
         bad.append("run.record_stride must be >= 1")

@@ -1,6 +1,6 @@
 """Time-stepping integrators for the mirror descent flows.
 
-Five systems share one explicit scheme, implemented once in `euler_step`
+Five systems share one explicit scheme, implemented once in `bind_step`
 (Euler for the drift, Euler-Maruyama for the noise, both state updates
 evaluated at the left endpoint):
 
@@ -19,13 +19,14 @@ increments as the dual update.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
-from .maps import EuclideanMap, MirrorMap
+from .maps import EuclideanMap, MirrorMap, row_dot
 from .noise import NoiseModel, NoiseStream
 from .objectives import MinimizerCertificate, Objective
 from .schedules import CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible
@@ -124,62 +125,124 @@ def _law_at(law: PowerLaw, t) -> np.ndarray:
     return np.fromiter(values, dtype=float, count=t.size).reshape(t.shape)
 
 
-def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None):
-    """Advance one step of length hk from time t, using only time-t
-    quantities on the right-hand side. ``z`` holds the velocity for the
-    oscillator. ``dW`` is the Wiener increment (None: no noise arithmetic);
-    ``x_star`` enables the Ito-integral increment.
+def _law_closure(law: PowerLaw):
+    """law.value as a closure over one step time, without the t > 0 check
+    (step times start at t0 > 0). A constant law returns its coefficient:
+    coef * t**0.0 is coef exactly."""
+    coef, exponent = law.coef, law.exponent
+    if exponent == 0.0:
+        return lambda t: coef
+    return lambda t: coef * t**exponent
 
-    md/smd are the averaged systems' dual update with eta = 1; only the
-    primal update and the oscillator's velocity form differ per kind.
+
+def bind_step(spec: SystemSpec):
+    """The step of `spec`'s flow with its objective, map, rates and noise
+    bound once: advance(x, z, t, hk, dW) -> (x_new, z_new, dz, eta, d, anchor).
+
+    It takes one step of length hk from time t, using only time-t quantities
+    on the right-hand side; ``z`` holds the velocity for the oscillator and
+    ``dW`` is the Wiener increment (None: no noise arithmetic). md/smd are
+    the averaged systems' dual update with eta = 1; only the primal update
+    and the oscillator's velocity form differ per kind. Besides the new
+    state and the raw dual increment before the dual projection, it returns
+    what the Ito integral's increment needs (see `ito_increments`): eta,
+    sigma's diagonal d and the anchor, the time-t mirror point (x itself for
+    md/smd). The step never modifies an array in place, so it may return
+    (and the caller may keep) its inputs."""
+    kind, rates = spec.kind, spec.rates
+    gradient = spec.objective.gradient
+    mirror, project = spec.mmap.point_functions()
+    diag = spec.noise.diag
+    averaged = kind in ("amd", "samd")
+    eta_at, a_at = _law_closure(rates.eta), _law_closure(rates.a)
+    if rates.s == CONSTANT_ONE:  # z / 1.0 is z exactly
+        def mirror_at(z, t):
+            return mirror(z)
+    else:
+        s_at = _law_closure(rates.s)
+
+        def mirror_at(z, t):
+            return mirror(z / s_at(t))
+
+    if kind == "nesterov":
+        friction = spec.beta + 1.0
+
+        def advance(x, z, t, hk, dW=None):
+            dz = hk * (-gradient(x) - z * (friction / t))
+            return x + hk * z, project(z + dz), dz, 0.0, 0.0, x
+
+        return advance
+
+    def advance(x, z, t, hk, dW=None):
+        g = gradient(x)
+        if averaged:
+            eta = eta_at(t)
+            anchor = mirror_at(z, t)
+        else:
+            eta = 1.0
+            anchor = x
+        # the scalar factor carries the sign: exact, and one array op fewer
+        if dW is None:
+            d = 0.0
+            dz = -(eta * hk) * g
+        else:
+            d = diag(x, t)
+            dz = -eta * (hk * g + d * dW)
+        z_new = project(z + dz)
+        if averaged:
+            x_new = x + (a_at(t) * hk) * (anchor - x)
+        else:
+            x_new = mirror_at(z_new, t + hk)
+        return x_new, z_new, dz, eta, d, anchor
+
+    return advance
+
+
+def ito_increments(etas, ds, anchors, x_star: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """Increments <-eta sigma^T (anchor - x*), dW> of the Ito integral over
+    a block of steps, from per-step sequences of eta, of sigma's diagonal d
+    (a scalar or n values) and of the anchor, with the block's (rows, n)
+    Wiener increments. Each row equals `(-eta * (d * (anchor - x_star))) @
+    dW` on its step alone, bit for bit: the products are elementwise and the
+    dot is `row_dot`'s stacked matmul."""
+    rows = len(etas)
+    neg_eta = -np.array(etas)[:, None]
+    d = np.array(ds).reshape(rows, -1)
+    return row_dot(neg_eta * (d * (np.array(anchors) - x_star)), dW)
+
+
+def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None):
+    """One step of `bind_step(spec)`, with the increments of the Ito integral
+    and of the noise strength b that `simulate` accumulates. ``x_star``
+    enables the Ito-integral increment.
 
     Returns (x_new, z_new, dz, dmart, db): the new state, the raw dual
     increment before the dual projection, the increment of the Ito integral
-    of <-eta sigma^T (anchor - x*), dB> and that of the noise strength b.
-    The anchor is the time-t mirror point: x itself for md/smd.
+    of <-eta sigma^T (anchor - x*), dB> and that of b.
     """
-    mmap, rates, kind = spec.mmap, spec.rates, spec.kind
-    g = spec.objective.gradient(x)
-    if kind == "nesterov":
-        dz = hk * (-g - z * ((spec.beta + 1.0) / t))
-        return x + hk * z, mmap.dual_projection(z + dz), dz, 0.0, 0.0
-    averaged = kind in ("amd", "samd")
-    eta = rates.eta.value(t) if averaged else 1.0
-    anchor = mmap.grad_psi_star(_scaled(z, rates.s.value(t))) if averaged else x
+    x_new, z_new, dz, eta, d, anchor = bind_step(spec)(x, z, t, hk, dW)
     dmart = db = 0.0
-    # the scalar factor carries the sign: exact, and one array op fewer
-    if dW is None:
-        dz = -(eta * hk) * g
-    else:
-        noise = spec.noise
-        d = noise.diag(x, t)
-        dz = -eta * (hk * g + d * dW)
+    if dW is not None:
         if x_star is not None:
-            dmart = float((-eta * (d * (anchor - x_star))) @ dW)
-        db = eta * eta * noise.sigma_star_sq(t) * hk
-    z_new = mmap.dual_projection(z + dz)
-    if averaged:
-        x_new = x + (rates.a.value(t) * hk) * (anchor - x)
-    else:
-        x_new = mmap.grad_psi_star(_scaled(z_new, rates.s.value(t + hk)))
+            dmart = float(ito_increments([eta], [d], [anchor], x_star, dW[None])[0])
+        db = eta * eta * spec.noise.sigma_star_sq(t) * hk
     return x_new, z_new, dz, dmart, db
 
 
-def _scaled(z: np.ndarray, s_t: float) -> np.ndarray:
-    """z / s_t, skipping the division when s_t == 1.0, where it is exact."""
-    return z if s_t == 1.0 else z / s_t
+def wiener_increments(stream: NoiseStream, n: int, rows: int, hk: float) -> np.ndarray:
+    """`rows` Wiener increments of n coordinates over steps of length hk, in
+    one (rows, n) draw. The stream gives the same numbers whatever the block
+    size, so these are the increments of per-step
+    `stream.standard_normals(n) * sqrt(hk)` draws, and the stream ends at
+    the same position."""
+    return stream.standard_normals(n * rows).reshape(rows, n) * math.sqrt(hk)
 
 
-def wiener_increments(stream: NoiseStream, n: int, steps: int, h: float):
-    """Yield `steps` Wiener increments of n coordinates over steps of length
-    h, drawn NOISE_BLOCK_ROWS steps at a time. The stream gives the same
-    numbers whatever the block size, so these are the increments of
-    per-step `stream.standard_normals(n) * sqrt(h)` draws, and the stream
-    ends at the same position."""
-    sqrt_h = math.sqrt(h)
-    for start in range(0, steps, NOISE_BLOCK_ROWS):
-        rows = min(NOISE_BLOCK_ROWS, steps - start)
-        yield from stream.standard_normals(n * rows).reshape(rows, n) * sqrt_h
+def noise_blocks(steps: int) -> list[tuple[int, int]]:
+    """The (start, stop) step ranges of `steps` equal steps, NOISE_BLOCK_ROWS
+    steps at a time: the steps whose increments one call draws."""
+    return [(start, min(start + NOISE_BLOCK_ROWS, steps))
+            for start in range(0, steps, NOISE_BLOCK_ROWS)]
 
 
 @dataclass
@@ -258,8 +321,11 @@ def step_guard(rates: RateBundle, h: float, t_end: float) -> str | None:
 
 def step_count(t0: float, t_end: float, h: float) -> tuple[int, bool]:
     """Steps covering [t0, t_end] and whether the span is an exact multiple
-    of h (within 1e-9 relative); inexact spans clip the final step."""
+    of h (within 1e-9 relative); inexact spans clip the final step. Raise
+    ValueError when (t_end - t0) / h is too large for a float."""
     span = (t_end - t0) / h
+    if math.isinf(span):
+        raise ValueError(f"h = {h!r} is too small: (t_end - t0) / h overflows")
     n = round(span)
     if n >= 1 and abs(span - n) < 1e-9 * max(1.0, span):
         return int(n), True
@@ -342,7 +408,7 @@ def simulate(
     n = mmap.dim
     f_star = certificate.f_star
     track_energy = spec.kind != "nesterov" and not certificate.boundary
-    anchor = energy_anchor(mmap, certificate.z_star) if track_energy else None
+    dual_anchor = energy_anchor(mmap, certificate.z_star) if track_energy else None
     x_star = certificate.x_star if track_energy else None
 
     n_steps, exact_span = step_count(t0, t_end, h)
@@ -352,7 +418,7 @@ def simulate(
     xs = np.empty((m, n))
     zs = np.empty((m, n))
     bs = np.empty(m)
-    marts = np.empty(m)
+    marts = np.zeros(m)  # the Ito integral stays 0.0 without noise
 
     x = np.array(spec.x0, dtype=float)
     if spec.kind == "nesterov":
@@ -361,40 +427,56 @@ def simulate(
     else:
         z = np.array(spec.z0, dtype=float)
 
-    increments = wiener_increments(stream, n, full_steps, h) if noisy else None
+    advance = bind_step(spec)
+    sigma_sq = spec.noise.sigma_star_sq
+    ito = noisy and track_energy
+    blocks = [(start, stop, h) for start, stop in noise_blocks(full_steps)]
+    if not exact_span:  # the clipped final step of an inexact span, drawn alone
+        blocks.append((full_steps, n_steps, t_end - (t0 + full_steps * h)))
     mart = 0.0
     b_acc = 0.0
     ri = 0
-    for k in range(n_steps + 1):
-        if ri < m and k == rec_rows[ri]:
-            xs[ri] = x
-            zs[ri] = z
-            marts[ri] = mart
-            bs[ri] = b_acc
-            ri += 1
-        if k == n_steps:
-            break
-        t = t0 + k * h
-        if k < full_steps:
-            hk = h
-            dW = next(increments) if noisy else None
-        else:
-            hk = t_end - t  # clipped final step of an inexact span, drawn alone
-            dW = stream.standard_normals(n) * math.sqrt(hk) if noisy else None
+    for start, stop, hk in blocks:
+        rows = stop - start
+        dWs = wiener_increments(stream, n, rows, hk) if noisy else itertools.repeat(None, rows)
+        ri_block = ri
+        etas, ds, anchors = [], [], []
+        for k, dW in zip(range(start, stop), dWs):
+            if k == rec_rows[ri]:  # the last recorded row, n_steps, lies past the loop
+                xs[ri] = x
+                zs[ri] = z
+                bs[ri] = b_acc
+                ri += 1
+            t = t0 + k * h
+            x, z, _, eta, d, anchor = advance(x, z, t, hk, dW)
+            if noisy:
+                b_acc += eta * eta * sigma_sq(t) * hk
+                if ito:
+                    etas.append(eta)
+                    ds.append(d)
+                    anchors.append(anchor)
 
-        x, z, _, dmart, db = euler_step(spec, x, z, t, hk, dW, x_star)
-        mart += dmart
-        b_acc += db
-
-        # a sum of a list is finite exactly when every coordinate is, short
-        # of overflow, whatever the order it adds them in
-        if not math.isfinite(sum(x.tolist())) or not math.isfinite(sum(z.tolist())):
-            part = "x" if not math.isfinite(sum(x.tolist())) else "z"
-            raise NonFinite(f"{part} became non-finite at step {k}; "
-                            f"the last finite state is at t = {t:g}")
+            # a sum of a list is finite exactly when every coordinate is, short
+            # of overflow, whatever the order it adds them in
+            if not math.isfinite(sum(x.tolist())) or not math.isfinite(sum(z.tolist())):
+                part = "x" if not math.isfinite(sum(x.tolist())) else "z"
+                raise NonFinite(f"{part} became non-finite at step {k}; "
+                                f"the last finite state is at t = {t:g}")
+        if ito:
+            # the running integral after each step of the block, in the order
+            # (and so with the bits) of adding the increments one at a time
+            running = np.add.accumulate(np.concatenate(
+                ([mart], ito_increments(etas, ds, anchors, x_star, dWs))))
+            marts[ri_block:ri] = running[[row - start for row in rec_rows[ri_block:ri]]]
+            mart = running[-1]
+    xs[ri] = x
+    zs[ri] = z
+    bs[ri] = b_acc
+    marts[ri] = mart
 
     gaps = objective.value(xs) - f_star
-    energies = energy_value(mmap, rates, anchor, gaps, zs, times) if track_energy else None
+    energies = (energy_value(mmap, rates, dual_anchor, gaps, zs, times) if track_energy
+                else None)
     return Trajectory(
         times=times,
         x=xs,

@@ -94,6 +94,11 @@ class MirrorMap(ABC):
         """Canonical dual representative with the same conjugate gradient."""
 
     @abstractmethod
+    def point_functions(self) -> tuple:
+        """(grad_psi_star, dual_projection) for one float point, without the
+        input conversion: the step's own state is float already."""
+
+    @abstractmethod
     def dual_of(self, x: np.ndarray) -> np.ndarray:
         """A dual point z with grad_psi_star(z) == x, for strictly feasible x."""
 
@@ -162,7 +167,12 @@ class EntropicSimplexMap(MirrorMap):
         return softmax(np.asarray(z, dtype=float))
 
     def dual_projection(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        return self._centered(np.asarray(z, dtype=float))
+
+    def point_functions(self) -> tuple:
+        return softmax, self._centered
+
+    def _centered(self, z: np.ndarray) -> np.ndarray:
         # z - z.mean(), bit for bit, without the generic mean's overhead
         return z - np.add.reduce(z) / self.dim
 
@@ -226,6 +236,10 @@ class EuclideanMap(MirrorMap):
     def dual_projection(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float).copy()
 
+    def point_functions(self) -> tuple:
+        # no copies: the step never modifies a state array in place
+        return _identity, _identity
+
     def dual_of(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.require_feasible(x)
@@ -247,6 +261,10 @@ class EuclideanMap(MirrorMap):
 
     def support(self, d: np.ndarray) -> float:
         return 0.0 if not np.any(d) else float("inf")
+
+
+def _identity(z: np.ndarray) -> np.ndarray:
+    return z
 
 
 def make_map(kind: str, dim: int) -> MirrorMap:

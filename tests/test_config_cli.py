@@ -340,6 +340,8 @@ class TestCli:
         ("objective.dim = 0", [], "objective.dim must be >= 1"),
         ("seed = -1", [], "seed must be >= 0"),
         ("", ["--seed", "-1"], "seed must be >= 0"),
+        ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-320", [],
+         "run.h = 1e-320 is too small: (run.t_end - run.t0) / run.h overflows"),
         ("sweep.alpha_r = auto bogus", [],
          "sweep.alpha_r tokens must be auto, auto+x, auto-x or a number, got 'bogus'"),
         ("", ["--out", "runs#1"],

@@ -187,6 +187,53 @@ class TestSimulateMatchesStepFunctions:
                 assert traj.b[k + 1] == b
 
 
+    @pytest.mark.parametrize("noise_kind", ["scalar", "diagonal", "state-scaled"])
+    @pytest.mark.parametrize("geometry", ["simplex", "euclidean"])
+    @pytest.mark.parametrize("kind", ["smd", "samd"])
+    def test_replay_across_noise_blocks(self, kind, geometry, noise_kind):
+        # 700 steps of h in blocks of 256, 256 and 188 rows, then a clipped
+        # half step drawn alone; the Ito integral is settled once per block
+        rates = coupled_bundle(1.0, 0.5) if kind == "samd" else md_bundle(alpha_s=0.5)
+        if geometry == "simplex":
+            spec, cert = presets.default_spec(kind, rates=rates, sigma0=0.2,
+                                              alpha_sigma=-0.1, noise_kind=noise_kind)
+        else:
+            mmap = EuclideanMap(3)
+            x0 = np.array([1.0, -0.5, 0.2])
+            spec = SystemSpec(
+                kind=kind, mmap=mmap, objective=Rank1Quadratic(np.array([1.0, 0.6, -0.3])),
+                rates=rates, noise=make_noise(noise_kind, 0.2, -0.1, mmap), x0=x0, z0=x0,
+            )
+            cert = MinimizerCertificate(
+                x_star=np.zeros(3), f_star=0.0, z_star=np.zeros(3),
+                boundary=False, residual=0.0, method="analytic",
+            )
+        h, stride = 0.01, 7
+        t_end = 1.0 + 700.5 * h
+        stream = NoiseStream(9, 2)
+        traj = simulate(spec, cert, t_end=t_end, h=h, record_stride=stride, stream=stream)
+        assert stream.position == 3 * 701
+
+        replay = NoiseStream(9, 2)
+        x = np.array(spec.x0, float)
+        z = np.array(spec.z0, float)
+        mart = b = 0.0
+        for k in range(701):
+            t = 1.0 + k * h
+            hk = h if k < 700 else t_end - t
+            dW = replay.standard_normals(3) * math.sqrt(hk)
+            x, z, _, dmart, db = euler_step(spec, x, z, t, hk, dW, cert.x_star)
+            mart += dmart
+            b += db
+            if (k + 1) % stride == 0 or k == 700:
+                row = (k + 1) // stride + (k == 700)
+                np.testing.assert_array_equal(traj.x[row], x)
+                np.testing.assert_array_equal(traj.z[row], z)
+                assert traj.martingale[row] == mart
+                assert traj.b[row] == b
+        assert row == traj.n_recorded - 1
+
+
 class TestDegeneracyAndDeterminism:
     def test_zero_noise_samd_equals_amd_bitwise(self):
         amd, cert = make_spec("amd", rates=FIG_RATES)
@@ -348,6 +395,30 @@ class TestGuards:
                                             r"finite state is at t = 1$"), \
                 np.errstate(over="ignore", invalid="ignore"):
             simulate(spec, cert, t_end=11.0, h=5.0)
+
+    def test_nonfinite_inside_a_later_noise_block(self):
+        m = EuclideanMap(1)
+        obj = Rank1Quadratic(np.array([1.0]))
+        cert = MinimizerCertificate(
+            x_star=np.zeros(1), f_star=0.0, z_star=np.zeros(1),
+            boundary=False, residual=0.0, method="analytic",
+        )
+        spec = SystemSpec(
+            kind="smd", mmap=m, objective=obj, rates=md_bundle(),
+            noise=make_noise("scalar", 1e-3, 0.0, m), x0=np.array([1e10]),
+            z0=np.array([1e10]),
+        )
+        # z grows by 4x per step (h = 5), so z and x = z overflow in step
+        # 495, inside the second block of 256 steps
+        with pytest.raises(NonFinite, match=r"^x became non-finite at step 495; the last "
+                                            r"finite state is at t = 2476$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate(spec, cert, t_end=1.0 + 600 * 5.0, h=5.0, stream=NoiseStream(4, 0))
+
+    def test_step_count_overflow_is_a_value_error(self):
+        spec, cert = make_spec("md")
+        with pytest.raises(ValueError, match=r"^h = 1e-320 is too small"):
+            simulate(spec, cert, t_end=5.0, h=1e-320)
 
     def test_one_exact_step_below_its_rounded_span(self, simplex3, default_objective,
                                                    default_certificate):

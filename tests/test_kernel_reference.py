@@ -1,8 +1,9 @@
 """`simulate` against a reference loop kept from the per-step kernel it
 replaced: the same Euler-Maruyama arithmetic, with a fresh
-`standard_normals(n) * sqrt(hk)` draw at every step, the generic numpy
-reductions in the maps, and the energy's dual anchor recomputed at every
-recorded row. The two must agree bit for bit."""
+`standard_normals(n) * sqrt(hk)` draw at every step, the objectives'
+gradients through `@`, the generic numpy reductions in the maps, the Ito
+integral's increment added at every step, and the energy's dual anchor
+recomputed at every recorded row. The two must agree bit for bit."""
 
 import math
 
@@ -46,6 +47,14 @@ def ref_psi_star(mmap, z):
     return m + float(np.log(np.sum(np.exp(z - m)))) - np.log(mmap.dim)
 
 
+def ref_gradient(objective, x):
+    """The objectives' gradients as the per-step kernel computed them."""
+    if isinstance(objective, SumExp):
+        C = objective.coefficients
+        return np.exp(C @ x) @ C
+    return float(objective.c @ x) * objective.c
+
+
 def ref_energy(mmap, rates, z_star, gap, z, t):
     s_t = rates.s.value(t)
     zp = z / s_t
@@ -57,7 +66,7 @@ def ref_energy(mmap, rates, z_star, gap, z, t):
 def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
     mmap, rates = spec.mmap, spec.rates
     averaged = spec.kind in ("amd", "samd")
-    g = spec.objective.gradient(x)
+    g = ref_gradient(spec.objective, x)
     dmart = db = 0.0
     if spec.kind == "nesterov":
         dz = hk * (-g - z * ((spec.beta + 1.0) / t))
