@@ -340,13 +340,13 @@ class TestCli:
         ("objective.dim = 0", [], "objective.dim must be >= 1"),
         ("seed = -1", [], "seed must be >= 0"),
         ("", ["--seed", "-1"], "seed must be >= 0"),
-        ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-320", [],
-         "run.h = 1e-320 is too small: (run.t_end - run.t0) / run.h overflows"),
         ("sweep.alpha_r = auto bogus", [],
          "sweep.alpha_r tokens must be auto, auto+x, auto-x or a number, got 'bogus'"),
         ("", ["--out", "runs#1"],
          "out must not contain '#' or a line break (the scenario file would read it back "
          "cut short)"),
+        ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-320", [],
+         "run.h = 1e-320 is too small: (run.t_end - run.t0) / run.h overflows"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "rates"])
     def test_bad_input_is_named_by_key(self, tmp_path, capsys, command, lines, flags, message):
