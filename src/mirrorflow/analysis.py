@@ -91,23 +91,6 @@ def expected_value_bound(
     ) / rates.r.value(t)
 
 
-def smd_averaged_bound(
-    ctx: EnergyContext, noise: NoiseModel, z0: np.ndarray, t: float
-) -> float:
-    """Expected-gap bound for the averaged iterate of the non-accelerated
-    flow: (s(t0) D(z0/s(t0), z*) + psi(x*) s(t) + (n L/2) int sigma*^2/s) / (t - t0)."""
-    rates = ctx.rates
-    t0 = rates.t0
-    if t <= t0:
-        raise ValueError("bound defined for t > t0")
-    s0 = rates.s.value(t0)
-    l_md0 = s0 * ctx.mmap.bregman_div_star_at(np.asarray(z0, float) / s0, *ctx.anchor)
-    n = ctx.mmap.dim
-    lip = ctx.mmap.lipschitz_grad_conjugate
-    correction = noise_integral(noise.sigma_star_power(), t0, t, per=rates.s)
-    return (l_md0 + ctx.psi_x_star * rates.s.value(t) + 0.5 * n * lip * correction) / (t - t0)
-
-
 # ---------------------------------------------------------------------------
 # Accumulated noise strength and its almost-sure envelope
 # ---------------------------------------------------------------------------
@@ -315,13 +298,7 @@ def martingale_envelope_check(
     return within / len(trajectories)
 
 
-def covariation_check(
-    spec: SystemSpec,
-    certificate: MinimizerCertificate,
-    steps: int,
-    h: float,
-    stream: NoiseStream,
-):
+def covariation_check(spec: SystemSpec, steps: int, h: float, stream: NoiseStream):
     """Empirical covariance of the raw dual increments against the
     theoretical eta^2 Sigma h over `steps` steps.
 
@@ -396,8 +373,6 @@ class AptReport:
     epsilon: float
     t_window: float
     windows: tuple[RestartWindow, ...]
-    times: np.ndarray
-    stochastic_energy: np.ndarray
 
     @property
     def max_distance(self) -> float:
@@ -472,7 +447,6 @@ def apt_experiment(
             t_end=t_start + t_window,
             h=traj.h,
             record_stride=traj.record_stride,
-            enforce_admissible=False,
         )
         sto_slice = traj.energy[i_start : i_start + len(det.times)]
         distance = float(np.abs(sto_slice - det.energy).max())
@@ -489,6 +463,4 @@ def apt_experiment(
         epsilon=epsilon,
         t_window=t_window,
         windows=tuple(windows),
-        times=times,
-        stochastic_energy=traj.energy,
     )

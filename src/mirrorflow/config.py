@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .dynamics import SystemSpec, md_bundle, nesterov_bundle, step_fits_span, step_guard
+from .dynamics import (SYSTEM_KINDS, SystemSpec, md_bundle, nesterov_bundle, run_size_error,
+                       step_fits_span, step_guard)
 from .errors import ParseError, ValidationError
 from .maps import make_map
 from .noise import ZeroNoise, make_noise
@@ -30,7 +32,7 @@ from .schedules import PowerLaw, RateBundle, check_admissible, optimal_amd_expon
 
 VERSION = "0.1.0"
 
-SYSTEM_CHOICES = ("md", "smd", "amd", "samd", "nesterov")
+SYSTEM_CHOICES = SYSTEM_KINDS
 OBJECTIVE_CHOICES = ("sum-exp", "rank1-quadratic")
 OBJECTIVE_SOURCES = ("default", "face", "inline")
 MIRROR_CHOICES = ("entropic-simplex", "euclidean")
@@ -86,51 +88,68 @@ def alpha_r_token(token: str) -> tuple[bool, float]:
     return False, float(token)
 
 
-_KEY_MAP = {
-    "system.kind": "system_kind",
-    "objective.kind": "objective_kind",
-    "objective.source": "objective_source",
-    "objective.dim": "objective_dim",
-    "objective.c": "objective_c",
-    "mirror.kind": "mirror_kind",
-    "rates.alpha_r": "alpha_r",
-    "rates.alpha_s": "alpha_s",
-    "rates.eta": "eta_mode",
-    "rates.eta_coef": "eta_coef",
-    "rates.eta_exponent": "eta_exponent",
-    "rates.r_coef": "r_coef",
-    "rates.beta": "beta",
-    "noise.kind": "noise_kind",
-    "noise.sigma0": "sigma0",
-    "noise.alpha_sigma": "alpha_sigma",
-    "run.t0": "t0",
-    "run.t_end": "t_end",
-    "run.h": "h",
-    "run.record_stride": "record_stride",
-    "ensemble.count": "count",
-    "seed": "seed",
-    "out": "out",
-    "sweep.alpha_sigma": "sweep_alpha_sigma",
-    "sweep.alpha_s": "sweep_alpha_s",
-    "sweep.alpha_r": "sweep_alpha_r",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_MAP.items()}
-
-_INT_FIELDS = {"objective_dim", "record_stride", "count", "seed"}
-_FLOAT_FIELDS = {
-    "alpha_s", "eta_coef", "eta_exponent", "r_coef", "beta",
-    "sigma0", "alpha_sigma", "t0", "t_end", "h",
-}
-_FLOAT_LIST_FIELDS = {"sweep_alpha_sigma", "sweep_alpha_s"}
-
-
 def _parse_matrix(text: str) -> list[list[float]]:
     rows = [r.strip() for r in text.split(";") if r.strip()]
     return [[float(v) for v in r.split()] for r in rows]
 
 
+def _emit_floats(values) -> str:
+    return " ".join(repr(float(v)) for v in values)
+
+
 def _emit_matrix(rows: list[list[float]]) -> str:
-    return " ; ".join(" ".join(repr(float(v)) for v in row) for row in rows)
+    return " ; ".join(map(_emit_floats, rows))
+
+
+class _Codec(NamedTuple):
+    """How one key's value reads from and writes to scenario text, and the
+    numbers (or numeric text) in it that must be finite."""
+
+    parse: Callable[[str], object]
+    emit: Callable[[object], str]
+    numbers: Callable[[object], list]
+
+
+_TEXT = _Codec(str, str, lambda value: [])
+_INT = _Codec(int, str, lambda value: [])
+_FLOAT = _Codec(float, lambda value: repr(float(value)), lambda value: [value])
+_FLOATS = _Codec(lambda text: [float(v) for v in text.split()], _emit_floats, list)
+_MATRIX = _Codec(_parse_matrix, _emit_matrix, lambda rows: [v for row in rows or [] for v in row])
+_ALPHA_R = _Codec(lambda text: text if text == "auto" else float(text),
+                  lambda value: value if value == "auto" else repr(float(value)),
+                  lambda value: [value])
+_SWEEP_ALPHA_R = _Codec(str.split, " ".join,
+                        lambda tokens: [token.removeprefix("auto") for token in tokens])
+
+#: every dotted key with its ScenarioConfig field and codec, in emit order
+_KEYS = {
+    "system.kind": ("system_kind", _TEXT),
+    "objective.kind": ("objective_kind", _TEXT),
+    "objective.source": ("objective_source", _TEXT),
+    "objective.dim": ("objective_dim", _INT),
+    "objective.c": ("objective_c", _MATRIX),
+    "mirror.kind": ("mirror_kind", _TEXT),
+    "rates.alpha_r": ("alpha_r", _ALPHA_R),
+    "rates.alpha_s": ("alpha_s", _FLOAT),
+    "rates.eta": ("eta_mode", _TEXT),
+    "rates.eta_coef": ("eta_coef", _FLOAT),
+    "rates.eta_exponent": ("eta_exponent", _FLOAT),
+    "rates.r_coef": ("r_coef", _FLOAT),
+    "rates.beta": ("beta", _FLOAT),
+    "noise.kind": ("noise_kind", _TEXT),
+    "noise.sigma0": ("sigma0", _FLOAT),
+    "noise.alpha_sigma": ("alpha_sigma", _FLOAT),
+    "run.t0": ("t0", _FLOAT),
+    "run.t_end": ("t_end", _FLOAT),
+    "run.h": ("h", _FLOAT),
+    "run.record_stride": ("record_stride", _INT),
+    "ensemble.count": ("count", _INT),
+    "seed": ("seed", _INT),
+    "out": ("out", _TEXT),
+    "sweep.alpha_sigma": ("sweep_alpha_sigma", _FLOATS),
+    "sweep.alpha_s": ("sweep_alpha_s", _FLOATS),
+    "sweep.alpha_r": ("sweep_alpha_r", _SWEEP_ALPHA_R),
+}
 
 
 def parse_config(source: str | Path) -> ScenarioConfig:
@@ -146,24 +165,11 @@ def parse_config(source: str | Path) -> ScenarioConfig:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {raw!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_MAP:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", lineno)
-        name = _KEY_MAP[key]
+        name, codec = _KEYS[key]
         try:
-            if name == "objective_c":
-                setattr(cfg, name, _parse_matrix(value))
-            elif name == "alpha_r":
-                setattr(cfg, name, value if value == "auto" else float(value))
-            elif name in _INT_FIELDS:
-                setattr(cfg, name, int(value))
-            elif name in _FLOAT_FIELDS:
-                setattr(cfg, name, float(value))
-            elif name in _FLOAT_LIST_FIELDS:
-                setattr(cfg, name, [float(v) for v in value.split()])
-            elif name == "sweep_alpha_r":
-                setattr(cfg, name, value.split())
-            else:
-                setattr(cfg, name, value)
+            setattr(cfg, name, codec.parse(value))
         except ValueError as exc:
             raise ParseError(f"bad value for {key}: {exc}", lineno) from None
     return _admitted(cfg)
@@ -178,22 +184,8 @@ def _admitted(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def emit_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(emit(cfg)) == cfg."""
-    lines = []
-    for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name == "objective_c":
-            lines.append(f"{key} = {_emit_matrix(value)}")
-        elif f.name in _FLOAT_LIST_FIELDS:
-            lines.append(f"{key} = {' '.join(repr(float(v)) for v in value)}")
-        elif f.name == "sweep_alpha_r":
-            lines.append(f"{key} = {' '.join(value)}")
-        elif f.name in _FLOAT_FIELDS or (f.name == "alpha_r" and value != "auto"):
-            lines.append(f"{key} = {repr(float(value))}")
-        else:
-            lines.append(f"{key} = {value}")
+    lines = [f"{key} = {codec.emit(value)}" for key, (name, codec) in _KEYS.items()
+             if (value := getattr(cfg, name)) is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -207,22 +199,8 @@ def _nonfinite(value) -> bool:
 
 def _nonfinite_keys(cfg: ScenarioConfig) -> list[str]:
     """Keys of every numeric entry holding a NaN or infinity."""
-    bad = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "objective_c":
-            numbers = [v for row in value or [] for v in row]
-        elif f.name == "sweep_alpha_r":
-            numbers = [token.removeprefix("auto") for token in value]
-        elif f.name in _FLOAT_LIST_FIELDS:
-            numbers = value
-        elif f.name in _FLOAT_FIELDS or f.name == "alpha_r":
-            numbers = [value]
-        else:
-            continue
-        if any(_nonfinite(v) for v in numbers):
-            bad.append(_FIELD_TO_KEY[f.name])
-    return bad
+    return [key for key, (name, codec) in _KEYS.items()
+            if any(_nonfinite(v) for v in codec.numbers(getattr(cfg, name)))]
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -272,6 +250,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         bad.append(f"run.h = {cfg.h!r} is too small: (run.t_end - run.t0) / run.h overflows")
     elif not step_fits_span(cfg.t0, cfg.t_end, cfg.h):
         bad.append("need 0 < run.h <= t_end - t0")
+    elif cfg.record_stride >= 1 and (too_large := run_size_error(
+            cfg.t0, cfg.t_end, cfg.h, cfg.record_stride, cfg.objective_dim)):
+        bad.append(f"run.h = {cfg.h!r} is too small: {too_large}")
     if cfg.record_stride < 1:
         bad.append("run.record_stride must be >= 1")
     if cfg.count < 1:

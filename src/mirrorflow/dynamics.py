@@ -31,13 +31,17 @@ from .noise import NoiseModel, NoiseStream
 from .objectives import MinimizerCertificate, Objective
 from .schedules import CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible
 
+SYSTEM_KINDS = ("md", "smd", "amd", "samd", "nesterov")
 DETERMINISTIC_KINDS = ("md", "amd", "nesterov")
 STOCHASTIC_KINDS = ("smd", "samd")
-SYSTEM_KINDS = DETERMINISTIC_KINDS + STOCHASTIC_KINDS
 #: primal averaging must be a convex combination: a(t) * h <= this at every step
 AVERAGING_STEP_LIMIT = 0.5
 #: steps of Wiener increments drawn per call into the noise stream
 NOISE_BLOCK_ROWS = 256
+#: the most steps one run may take
+MAX_STEPS = 10**9
+#: the most bytes one run's recorded rows may take, at (2n + 2) float64 values a row
+MAX_RECORD_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -211,24 +215,6 @@ def ito_increments(etas, ds, anchors, x_star: np.ndarray, dW: np.ndarray) -> np.
     return row_dot(neg_eta * (d * (np.array(anchors) - x_star)), dW)
 
 
-def euler_step(spec: SystemSpec, x, z, t: float, hk: float, dW=None, x_star=None):
-    """One step of `bind_step(spec)`, with the increments of the Ito integral
-    and of the noise strength b that `simulate` accumulates. ``x_star``
-    enables the Ito-integral increment.
-
-    Returns (x_new, z_new, dz, dmart, db): the new state, the raw dual
-    increment before the dual projection, the increment of the Ito integral
-    of <-eta sigma^T (anchor - x*), dB> and that of b.
-    """
-    x_new, z_new, dz, eta, d, anchor = bind_step(spec)(x, z, t, hk, dW)
-    dmart = db = 0.0
-    if dW is not None:
-        if x_star is not None:
-            dmart = float(ito_increments([eta], [d], [anchor], x_star, dW[None])[0])
-        db = eta * eta * spec.noise.sigma_star_sq(t) * hk
-    return x_new, z_new, dz, dmart, db
-
-
 def wiener_increments(stream: NoiseStream, n: int, rows: int, hk: float) -> np.ndarray:
     """`rows` Wiener increments of n coordinates over steps of length hk, in
     one (rows, n) draw. The stream gives the same numbers whatever the block
@@ -339,6 +325,22 @@ def step_fits_span(t0: float, t_end: float, h: float) -> bool:
     return h > 0 and step_count(t0, t_end, h) != (1, False)
 
 
+def run_size_error(t0: float, t_end: float, h: float, record_stride: int,
+                   dim: int) -> str | None:
+    """Why a run of step h on [t0, t_end], recording every record_stride-th
+    state of dim coordinates, is too large to start, or None: it may take at
+    most MAX_STEPS steps, and its recorded rows at most MAX_RECORD_BYTES."""
+    n_steps, _ = step_count(t0, t_end, h)
+    if n_steps > MAX_STEPS:
+        return f"{n_steps:.3g} steps exceed the cap of {MAX_STEPS:.3g}"
+    rows = -(-n_steps // record_stride) + 1
+    size = rows * (2 * dim + 2) * 8
+    if size > MAX_RECORD_BYTES:
+        return (f"{rows} recorded rows of {dim} coordinates take {size / 2**30:.3g} GiB, "
+                f"more than the cap of {MAX_RECORD_BYTES / 2**30:g} GiB")
+    return None
+
+
 def record_grid(
     t0: float, t_end: float, h: float, record_stride: int
 ) -> tuple[list[int], np.ndarray]:
@@ -359,9 +361,10 @@ def simulate(
     h: float,
     record_stride: int = 1,
     stream: NoiseStream | None = None,
-    enforce_admissible: bool = True,
 ) -> Trajectory:
     """Integrate one trajectory of the configured system on [t0, t_end].
+    Raise before the first step when the run is over `run_size_error`'s caps,
+    or, for the averaged systems, fails `step_guard` or `check_admissible`.
 
     Parameters
     ----------
@@ -373,8 +376,6 @@ def simulate(
     stream : per-trajectory Gaussian increment source; required for
         stochastic runs with a non-zero noise model. A completed run leaves
         it at position n * steps; one that raises may have drawn further.
-    enforce_admissible : validate the averaged systems' rate conditions on
-        [t0, t_end] before running (disable for diagnostic runs only).
 
     Returns
     -------
@@ -388,6 +389,9 @@ def simulate(
         raise ValueError("need 0 < h <= t_end - t0")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
+    too_large = run_size_error(t0, t_end, h, record_stride, spec.mmap.dim)
+    if too_large is not None:
+        raise ValueError(f"h = {h!r} is too small: {too_large}")
 
     noisy = spec.is_stochastic
     if noisy and stream is None:
@@ -396,12 +400,9 @@ def simulate(
         too_large = step_guard(rates, h, t_end)
         if too_large is not None:
             raise StepTooLarge(too_large)
-        if enforce_admissible:
-            report = check_admissible(rates, horizon=t_end)
-            if not report.passed:
-                raise ValueError(
-                    "rate bundle not admissible: " + "; ".join(report.failures())
-                )
+        report = check_admissible(rates, horizon=t_end)
+        if not report.passed:
+            raise ValueError("rate bundle not admissible: " + "; ".join(report.failures()))
 
     mmap = spec.mmap
     objective = spec.objective

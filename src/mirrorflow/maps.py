@@ -67,8 +67,6 @@ class MirrorMap(ABC):
     """
 
     kind: str
-    #: strong-convexity modulus of the potential w.r.t. the primal norm
-    mu: float = 1.0
     #: Lipschitz constant of the conjugate gradient w.r.t. the norm pair
     lipschitz_grad_conjugate: float = 1.0
 
@@ -90,13 +88,11 @@ class MirrorMap(ABC):
         """Gradient of the conjugate; maps any dual point into the feasible set."""
 
     @abstractmethod
-    def dual_projection(self, z: np.ndarray) -> np.ndarray:
-        """Canonical dual representative with the same conjugate gradient."""
-
-    @abstractmethod
     def point_functions(self) -> tuple:
-        """(grad_psi_star, dual_projection) for one float point, without the
-        input conversion: the step's own state is float already."""
+        """(grad_psi_star, projection) for one float point, without the input
+        conversion: the step's own state is float already. The projection
+        maps a dual point to its canonical representative, which has the same
+        conjugate gradient."""
 
     @abstractmethod
     def dual_of(self, x: np.ndarray) -> np.ndarray:
@@ -166,9 +162,6 @@ class EntropicSimplexMap(MirrorMap):
     def grad_psi_star(self, z: np.ndarray) -> np.ndarray:
         return softmax(np.asarray(z, dtype=float))
 
-    def dual_projection(self, z: np.ndarray) -> np.ndarray:
-        return self._centered(np.asarray(z, dtype=float))
-
     def point_functions(self) -> tuple:
         return softmax, self._centered
 
@@ -231,9 +224,6 @@ class EuclideanMap(MirrorMap):
         return 0.5 * row_dot(z, z)
 
     def grad_psi_star(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float).copy()
-
-    def dual_projection(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float).copy()
 
     def point_functions(self) -> tuple:

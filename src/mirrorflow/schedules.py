@@ -31,8 +31,6 @@ class PowerLaw:
             raise NonPositiveTime(f"schedule evaluated at t = {t}")
         return self.coef * t**self.exponent
 
-    __call__ = value
-
     def derivative(self, t: float) -> float:
         if t <= 0:
             raise NonPositiveTime(f"schedule derivative at t = {t}")
@@ -109,7 +107,6 @@ class ConditionReport:
     name: str
     passed: bool
     detail: str
-    worst_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,6 @@ def check_admissible(bundle: RateBundle, horizon: float) -> AdmissibilityReport:
             s_ok,
             f"s exponent {bundle.s.exponent:g} "
             + ("(>= 0)" if s_ok else "(< 0: s decreases, noise damping inverted)"),
-            worst_time=None if s_ok else bundle.t0,
         )
     )
 
@@ -177,7 +173,6 @@ def check_admissible(bundle: RateBundle, horizon: float) -> AdmissibilityReport:
                 "learning rate dominates energy-weight derivative",
                 ok,
                 f"min(eta - r') = {margins[worst]:.3e} at t = {endpoints[worst]:g}",
-                worst_time=None if ok else endpoints[worst],
             )
         )
     return AdmissibilityReport(tuple(conditions))

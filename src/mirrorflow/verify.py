@@ -215,11 +215,9 @@ class Verifier:
         """Raw dual-increment covariance over 10^4 steps against
         eta^2 sigma0^2 h I: diagonal within 10 percent, off-diagonals inside
         the 4-sigma sampling band."""
-        spec, cert = presets.default_spec(
-            "samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1
-        )
+        spec, _ = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
         diag_err, off_max, band, _ = covariation_check(
-            spec, cert, steps=10_000, h=1e-4, stream=NoiseStream(self.base_seed, 0)
+            spec, steps=10_000, h=1e-4, stream=NoiseStream(self.base_seed, 0)
         )
         passed = diag_err < 0.10 and off_max < band
         return CheckResult(
@@ -301,8 +299,8 @@ class Verifier:
         """On the shared stochastic-rate ensemble, at least 90 percent of
         trajectories keep their accumulated Ito integral inside three
         diameters of the iterated-logarithm envelope."""
-        _, _, _, _, trajs = self.rate_ensemble()
-        fraction = martingale_envelope_check(trajs, diameter=2.0, c=3.0)
+        spec, _, _, _, trajs = self.rate_ensemble()
+        fraction = martingale_envelope_check(trajs, diameter=spec.mmap.diameter, c=3.0)
         return CheckResult(
             "martingale-envelope",
             bool(fraction >= 0.90),

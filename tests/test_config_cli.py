@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -50,6 +51,36 @@ class TestParsing:
         # also stable under a second round trip
         assert parse_config(emit_config(parse_config(emit_config(cfg)))) == cfg
         assert config_digest(cfg) == config_digest(parse_config(emit_config(cfg)))
+
+    @pytest.mark.parametrize("alpha_r, emitted", [("auto", "auto"), ("125e-2", "1.25")])
+    def test_emitted_text_is_pinned(self, alpha_r, emitted):
+        # every key set, most in a non-canonical spelling; manifests hash these bytes
+        cfg = parse_config(
+            "system.kind = samd\nobjective.kind = sum-exp\nobjective.source = inline\n"
+            "objective.dim = 3\nobjective.c = 1 0.5 -0.2 ; 0 1 0 ; -1 0 1e0\n"
+            f"mirror.kind = entropic-simplex\nrates.alpha_r = {alpha_r}\n"
+            "rates.alpha_s = 0.5\nrates.eta = coupled\nrates.eta_coef = 2\n"
+            "rates.eta_exponent = -0.25\nrates.r_coef = 1.5\nrates.beta = 3\n"
+            "noise.kind = diagonal\nnoise.sigma0 = 1e-1\nnoise.alpha_sigma = -0.1\n"
+            "run.t0 = 1\nrun.t_end = 20\nrun.h = 1e-3\nrun.record_stride = 007\n"
+            "ensemble.count = 12\nseed = 42\nout = runs/all keys\n"
+            "sweep.alpha_sigma = 0.2 0 -0.25\nsweep.alpha_s = 0.5 1\n"
+            "sweep.alpha_r = auto-0.2 auto 1.5\n"
+        )
+        expected = (
+            "system.kind = samd\nobjective.kind = sum-exp\nobjective.source = inline\n"
+            "objective.dim = 3\nobjective.c = 1.0 0.5 -0.2 ; 0.0 1.0 0.0 ; -1.0 0.0 1.0\n"
+            f"mirror.kind = entropic-simplex\nrates.alpha_r = {emitted}\n"
+            "rates.alpha_s = 0.5\nrates.eta = coupled\nrates.eta_coef = 2.0\n"
+            "rates.eta_exponent = -0.25\nrates.r_coef = 1.5\nrates.beta = 3.0\n"
+            "noise.kind = diagonal\nnoise.sigma0 = 0.1\nnoise.alpha_sigma = -0.1\n"
+            "run.t0 = 1.0\nrun.t_end = 20.0\nrun.h = 0.001\nrun.record_stride = 7\n"
+            "ensemble.count = 12\nseed = 42\nout = runs/all keys\n"
+            "sweep.alpha_sigma = 0.2 0.0 -0.25\nsweep.alpha_s = 0.5 1.0\n"
+            "sweep.alpha_r = auto-0.2 auto 1.5\n"
+        )
+        assert emit_config(cfg) == expected
+        assert config_digest(cfg) == hashlib.sha256(expected.encode()).hexdigest()
 
     def test_auto_alpha_r_resolution(self):
         cfg = parse_config(MINIMAL)
@@ -347,6 +378,13 @@ class TestCli:
          "cut short)"),
         ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-320", [],
          "run.h = 1e-320 is too small: (run.t_end - run.t0) / run.h overflows"),
+        ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-300", [],
+         "run.h = 1e-300 is too small: 4e+300 steps exceed the cap of 1e+09"),
+        ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-12", [],
+         "run.h = 1e-12 is too small: 4e+12 steps exceed the cap of 1e+09"),
+        ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-8", [],
+         "run.h = 1e-08 is too small: 40000001 recorded rows of 3 coordinates take 2.38 GiB, "
+         "more than the cap of 1 GiB"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "rates"])
     def test_bad_input_is_named_by_key(self, tmp_path, capsys, command, lines, flags, message):

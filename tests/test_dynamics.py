@@ -7,7 +7,8 @@ from mirrorflow import presets
 from mirrorflow.dynamics import (
     SystemSpec,
     averaged_iterate,
-    euler_step,
+    bind_step,
+    ito_increments,
     md_bundle,
     nesterov_bundle,
     primal_average_residual,
@@ -18,6 +19,7 @@ from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
 from mirrorflow.noise import NoiseStream, ZeroNoise, make_noise
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
+from test_kernel_reference import ref_step
 
 FIG_RATES = RateBundle(eta=CONSTANT_ONE, r=PowerLaw(1.0, 1.0), s=PowerLaw(1.0, 0.5))
 
@@ -52,7 +54,7 @@ class TestSingleSteps:
         t, h = 1.0, 0.01
         dW = np.array([0.03, -0.01, 0.02]) if noisy else None
         x_star = np.array([0.4, 0.3, 0.3])
-        x1, z1, dz, dmart, db = euler_step(spec, spec.x0, spec.z0, t, h, dW, x_star)
+        x1, z1, dz, eta, d, anchor = bind_step(spec)(spec.x0, spec.z0, t, h, dW)
         # independent arithmetic; eta = 1 for every kind here
         g = np.exp(obj.coefficients @ spec.x0) @ obj.coefficients
         dz_expect = -h * g - (0.1 * dW if noisy else 0.0)
@@ -69,11 +71,16 @@ class TestSingleSteps:
         np.testing.assert_allclose(dz, dz_expect, atol=1e-14)
         np.testing.assert_allclose(z1, z_expect, atol=1e-14)
         np.testing.assert_allclose(x1, x_expect, atol=1e-14)
+        assert eta == 1.0
+        np.testing.assert_allclose(anchor, spec.x0 if kind != "samd" else mirror, atol=1e-15)
         if noisy:
+            assert d == 0.1
+            dmart = ito_increments([eta], [d], [anchor], x_star, dW[None])[0]
             assert dmart == pytest.approx(-0.1 * (spec.x0 - x_star) @ dW, abs=1e-15)
-            assert db == pytest.approx(0.1**2 * h, rel=1e-14)
+            assert eta * eta * spec.noise.sigma_star_sq(t) * h == pytest.approx(0.1**2 * h,
+                                                                                rel=1e-14)
         else:
-            assert dmart == 0.0 and db == 0.0
+            assert d == 0.0
 
     def test_zero_gradient_relaxes_toward_mirror_point(self, simplex3):
         obj = SumExp(np.zeros((1, 3)))
@@ -107,7 +114,7 @@ class TestSingleSteps:
         obj = Rank1Quadratic(np.array([1.0, 0.5]))
         x, v = np.array([1.0, -1.0]), np.array([0.2, 0.0])
         t, h, beta = 2.0, 0.05, 3.0
-        x1, v1, _, _, _ = euler_step(oscillator_spec(obj, x, beta), x, v, t, h)
+        x1, v1, *_ = bind_step(oscillator_spec(obj, x, beta))(x, v, t, h)
         np.testing.assert_allclose(x1, x + h * v)
         g = (obj.c @ x) * obj.c
         np.testing.assert_allclose(v1, v + h * (-g - v * (beta + 1.0) / t))
@@ -115,9 +122,9 @@ class TestSingleSteps:
     def test_nesterov_zero_gradient_stays_put(self):
         obj = Rank1Quadratic(np.array([0.0, 0.0]))
         x, v = np.array([0.3, -0.8]), np.zeros(2)
-        spec = oscillator_spec(obj, x, 2.0)
+        advance = bind_step(oscillator_spec(obj, x, 2.0))
         for t in (1.0, 2.0, 3.0):
-            x, v, _, _, _ = euler_step(spec, x, v, t, 0.1)
+            x, v, *_ = advance(x, v, t, 0.1)
         np.testing.assert_array_equal(x, [0.3, -0.8])
         np.testing.assert_array_equal(v, np.zeros(2))
 
@@ -155,10 +162,11 @@ class TestSimulateMatchesStepFunctions:
                 spec, cert = make_spec(kind, rates=FIG_RATES if kind == "amd" else None)
                 z = np.array(spec.z0, float)
             traj = simulate(spec, cert, t_end=1.0 + 7 * 0.01, h=0.01)
+            advance = bind_step(spec)
             x = np.array(spec.x0, float)
             for k in range(7):
                 t = 1.0 + k * 0.01
-                x, z, _, _, _ = euler_step(spec, x, z, t, 0.01)
+                x, z, *_ = advance(x, z, t, 0.01)
                 np.testing.assert_array_equal(traj.x[k + 1], x)
                 np.testing.assert_array_equal(traj.z[k + 1], z)
 
@@ -178,7 +186,7 @@ class TestSimulateMatchesStepFunctions:
             for k in range(7):
                 t = 1.0 + k * 0.01
                 dW = replay.standard_normals(3) * sq
-                x, z, _, dmart, db = euler_step(spec, x, z, t, 0.01, dW, cert.x_star)
+                x, z, _, dmart, db = ref_step(spec, x, z, t, 0.01, dW, cert.x_star)
                 mart += dmart
                 b += db
                 np.testing.assert_array_equal(traj.x[k + 1], x)
@@ -222,7 +230,7 @@ class TestSimulateMatchesStepFunctions:
             t = 1.0 + k * h
             hk = h if k < 700 else t_end - t
             dW = replay.standard_normals(3) * math.sqrt(hk)
-            x, z, _, dmart, db = euler_step(spec, x, z, t, hk, dW, cert.x_star)
+            x, z, _, dmart, db = ref_step(spec, x, z, t, hk, dW, cert.x_star)
             mart += dmart
             b += db
             if (k + 1) % stride == 0 or k == 700:
@@ -353,8 +361,6 @@ class TestGuards:
         spec, cert = make_spec("amd", rates=bad)
         with pytest.raises(ValueError, match="admissible"):
             simulate(spec, cert, t_end=10.0, h=0.01)
-        traj = simulate(spec, cert, t_end=10.0, h=0.01, enforce_admissible=False)
-        assert traj.n_recorded > 0
 
     def test_deterministic_kind_rejects_noise(self, simplex3, default_objective):
         with pytest.raises(ValueError, match="zero noise"):
@@ -419,6 +425,17 @@ class TestGuards:
         spec, cert = make_spec("md")
         with pytest.raises(ValueError, match=r"^h = 1e-320 is too small"):
             simulate(spec, cert, t_end=5.0, h=1e-320)
+
+    def test_oversized_run_is_a_value_error(self):
+        # each raises before the recorded grid is built, so no run starts
+        spec, cert = make_spec("md")
+        with pytest.raises(ValueError, match=r"^h = 1e-12 is too small: 4e\+12 steps exceed "
+                                            r"the cap of 1e\+09$"):
+            simulate(spec, cert, t_end=5.0, h=1e-12)
+        with pytest.raises(ValueError, match=r"^h = 1e-08 is too small: 400000001 recorded "
+                                            r"rows of 3 coordinates take 23.8 GiB, more than "
+                                            r"the cap of 1 GiB$"):
+            simulate(spec, cert, t_end=5.0, h=1e-8)
 
     def test_one_exact_step_below_its_rounded_span(self, simplex3, default_objective,
                                                    default_certificate):

@@ -193,8 +193,7 @@ def runs(draw):
 def test_simulate_equals_the_per_step_reference_bitwise(run):
     spec, cert, t_end, h, stride, seed = run
     stream = NoiseStream(seed, 1)
-    traj = simulate(spec, cert, t_end, h, record_stride=stride, stream=stream,
-                    enforce_admissible=False)
+    traj = simulate(spec, cert, t_end, h, record_stride=stride, stream=stream)
     ref = ref_simulate(spec, cert, t_end, h, stride, NoiseStream(seed, 1))
     for name in ("x", "z", "gap", "energy", "b", "martingale"):
         got = getattr(traj, name)
@@ -209,10 +208,10 @@ def test_covariation_draws_the_per_step_sequence():
     """The blocked draws of `covariation_check` cross several block
     boundaries and end on a partial block, yet give the numbers of per-step
     draws and leave the stream where per-step draws would."""
-    spec, cert = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
+    spec, _ = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
     steps, h = 1000 + 37, 1e-3
     stream = NoiseStream(3, 0)
-    diag_err, off_max, _, target = covariation_check(spec, cert, steps, h, stream)
+    diag_err, off_max, _, target = covariation_check(spec, steps, h, stream)
     assert stream.position == 3 * steps
 
     replay = NoiseStream(3, 0)
