@@ -3,14 +3,12 @@ integrators with mirror-map geometry, energy diagnostics, executable
 convergence bounds, and seeded ensemble experiments."""
 
 from .analysis import (
-    EnergyContext,
     EnsembleStats,
     RateFit,
     apt_experiment,
     b_and_envelope,
     covariation_check,
     detect_t2,
-    deterministic_rate_bound,
     ensemble,
     envelope,
     expected_value_bound,
@@ -58,14 +56,12 @@ from .schedules import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnergyContext",
     "EnsembleStats",
     "RateFit",
     "apt_experiment",
     "b_and_envelope",
     "covariation_check",
     "detect_t2",
-    "deterministic_rate_bound",
     "ensemble",
     "envelope",
     "expected_value_bound",

@@ -1,60 +1,23 @@
-"""Energy diagnostics, executable convergence bounds, ensemble statistics,
-log-log rate fitting, the iterated-logarithm noise envelope, and the
-shadowing experiment that compares a stochastic path against deterministic
-restarts over fixed-length windows.
+"""The expected-gap bound, ensemble statistics, log-log rate fitting, the
+iterated-logarithm noise envelope, and the shadowing experiment that
+compares a stochastic path against deterministic restarts over
+fixed-length windows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (SystemSpec, Trajectory, bind_step, energy_anchor, energy_value,
-                       noise_blocks, simulate, wiener_increments, write_csv)
+from .dynamics import (SystemSpec, Trajectory, bind_step, check_run, noise_blocks, simulate,
+                       wiener_increments, write_csv)
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
-from .maps import MirrorMap
-from .noise import NoiseModel, NoiseStream, ZeroNoise
+from .noise import NoiseStream, ZeroNoise
 from .objectives import MinimizerCertificate
-from .schedules import CONSTANT_ONE, PowerLaw, RateBundle
-
-
-@dataclass(frozen=True)
-class EnergyContext:
-    """Everything the energy needs: geometry, objective with its minimizer
-    certificate, and the rate bundle supplying r(t), s(t). The dual anchor
-    and psi(x*), which the bounds use, are computed once."""
-
-    mmap: MirrorMap
-    objective: object
-    certificate: MinimizerCertificate
-    rates: RateBundle
-    anchor: tuple = field(init=False, repr=False, compare=False)
-    psi_x_star: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.certificate.boundary:
-            raise BoundaryMinimizer("energy needs an interior dual anchor")
-        object.__setattr__(self, "anchor", energy_anchor(self.mmap, self.certificate.z_star))
-        object.__setattr__(self, "psi_x_star", self.mmap.psi(self.certificate.x_star))
-
-    def value(self, x: np.ndarray, z: np.ndarray, t: float) -> float:
-        gap = self.objective.value(x) - self.certificate.f_star
-        return energy_value(self.mmap, self.rates, self.anchor, gap, z, t)
-
-    def initial_value(self, x0: np.ndarray, z0: np.ndarray) -> float:
-        return self.value(np.asarray(x0, float), np.asarray(z0, float), self.rates.t0)
-
-
-def deterministic_rate_bound(ctx: EnergyContext, initial_energy: float, t: float) -> float:
-    """Gap bound (psi(x*) (s(t) - s(t0)) + L0) / r(t) for admissible
-    deterministic runs."""
-    rates = ctx.rates
-    return (
-        ctx.psi_x_star * (rates.s.value(t) - rates.s.value(rates.t0)) + initial_energy
-    ) / rates.r.value(t)
+from .schedules import CONSTANT_ONE, PowerLaw
 
 
 def noise_integral(
@@ -73,22 +36,32 @@ def noise_integral(
 
 
 def expected_value_bound(
-    ctx: EnergyContext, noise: NoiseModel, initial_energy: float, t: float
-) -> float:
-    """Bound on the expected gap: deterministic part plus the accumulated
-    second-order noise correction (n L_conj / 2) * integral(eta^2 sigma*^2 / s),
-    all divided by r(t)."""
-    rates = ctx.rates
-    n = ctx.mmap.dim
-    lip = ctx.mmap.lipschitz_grad_conjugate
-    correction = 0.5 * n * lip * noise_integral(
-        noise.sigma_star_power(), rates.t0, t, times=rates.eta.squared(), per=rates.s
-    )
-    return (
-        initial_energy
-        + ctx.psi_x_star * (rates.s.value(t) - rates.s.value(rates.t0))
-        + correction
-    ) / rates.r.value(t)
+    spec: SystemSpec, certificate: MinimizerCertificate, initial_energy: float, t
+):
+    """Bound on the expected gap of an admissible averaged run at time t, or
+    at each of a sequence of times: (L0 + psi(x*) (s(t) - s(t0)) + the
+    accumulated second-order noise correction (n L_conj / 2) *
+    integral(eta^2 sigma*^2 / s)) / r(t), with L0 the run's energy at t0.
+    Zero noise adds no correction: the deterministic bound. psi(x*) is
+    computed once; each time is bounded on its own in Python arithmetic."""
+    rates, mmap = spec.rates, spec.mmap
+    psi_x_star = mmap.psi(certificate.x_star)
+    sigma_star = spec.noise.sigma_star_power()
+    eta_sq = rates.eta.squared()
+
+    def bound(t):
+        correction = 0.5 * mmap.dim * mmap.lipschitz_grad_conjugate * noise_integral(
+            sigma_star, rates.t0, t, times=eta_sq, per=rates.s
+        )
+        return (
+            initial_energy
+            + psi_x_star * (rates.s.value(t) - rates.s.value(rates.t0))
+            + correction
+        ) / rates.r.value(t)
+
+    if np.ndim(t) == 0:
+        return bound(t)
+    return np.array([bound(u) for u in t])
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +122,11 @@ def ensemble(
 ) -> tuple[EnsembleStats, list[Trajectory]]:
     """Simulate `count` trajectories with streams derived from
     (base_seed, index) and aggregate per-time statistics. The result is a
-    pure function of the arguments."""
+    pure function of the arguments. Raise ValueError before any run when
+    `check_run` refuses the runs: all `count` are held at once."""
     if count < 1:
         raise ValueError("ensemble needs at least one trajectory")
+    check_run(spec.rates.t0, t_end, h, record_stride, spec.mmap.dim, count)
     trajectories = [
         simulate(
             spec,
@@ -191,16 +166,16 @@ def ensemble_to_csv(
     t0: float | None = None,
 ) -> None:
     """Write `t, mean_gap, std_gap, stderr_gap, mean_energy, std_energy,
-    gap_bound, b, envelope`; unavailable columns stay empty."""
+    gap_bound, b, envelope`, with `gap_bound` one value per recorded time;
+    unavailable columns stay empty."""
     header = ["t", "mean_gap", "std_gap", "stderr_gap", "mean_energy", "std_energy",
               "gap_bound", "b", "envelope"]
     times = [float(t) for t in stats.times]
-    bound = None if gap_bound is None else [gap_bound(t) for t in times]
     noisy = eta is not None and t0 is not None
     b_env = [b_and_envelope(eta, sigma_star, t0, t) if noisy and t > t0 else (None, None)
              for t in times]
     write_csv(path, header, [times, stats.mean_gap, stats.std_gap, stats.stderr_gap,
-                             stats.mean_energy, stats.std_energy, bound, *zip(*b_env)])
+                             stats.mean_energy, stats.std_energy, gap_bound, *zip(*b_env)])
 
 
 # ---------------------------------------------------------------------------

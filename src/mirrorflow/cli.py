@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import presets
 from .analysis import (
-    EnergyContext,
     default_fit_window,
     ensemble,
     ensemble_to_csv,
@@ -32,6 +31,7 @@ from .config import (
     ScenarioConfig,
     alpha_r_token,
     build_spec,
+    check_ensemble_size,
     emit_config,
     parse_config,
     with_overrides,
@@ -60,20 +60,6 @@ def _outdir(cfg: ScenarioConfig) -> Path:
     return out
 
 
-def _maybe_energy_context(spec, cert):
-    if cert.boundary or spec.kind == "nesterov":
-        return None
-    return EnergyContext(spec.mmap, spec.objective, cert, spec.rates)
-
-
-def _gap_bound_fn(spec, cert):
-    ctx = _maybe_energy_context(spec, cert)
-    if ctx is None or spec.kind not in ("samd", "amd"):
-        return None
-    l0 = ctx.initial_value(spec.x0, spec.z0)
-    return lambda t: expected_value_bound(ctx, spec.noise, l0, t)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     spec, cert = build_spec(cfg)
@@ -86,7 +72,7 @@ def cmd_simulate(args) -> int:
     traj.to_csv(out / "trajectory_000.csv")
     (out / "scenario.cfg").write_text(emit_config(cfg))
     write_manifest(out / "manifest.txt", cfg, "simulate",
-                   {"trajectories": 1, "f_star": repr(cert.f_star)})
+                   {"trajectories": 1, "f_star": repr(cert.f_star)}, streams=1)
     if args.plots:
         from .svg import line_chart
 
@@ -101,15 +87,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
+    check_ensemble_size(cfg)
     spec, cert = build_spec(cfg)
     out = _outdir(cfg)
     stats, trajs = ensemble(
         spec, cert, t_end=cfg.t_end, h=cfg.h, record_stride=cfg.record_stride,
         count=cfg.count, base_seed=cfg.seed,
     )
+    gap_bound = None
+    if spec.kind in ("amd", "samd") and trajs[0].has_energy:
+        gap_bound = expected_value_bound(spec, cert, trajs[0].energy[0], stats.times.tolist())
     ensemble_to_csv(
-        stats, out / "ensemble.csv",
-        gap_bound=_gap_bound_fn(spec, cert),
+        stats, out / "ensemble.csv", gap_bound=gap_bound,
         eta=spec.rates.eta, sigma_star=spec.noise.sigma_star_power(), t0=cfg.t0,
     )
     for i, traj in enumerate(trajs):
@@ -161,6 +150,7 @@ def cmd_rates(args) -> int:
     """Sweep noise and rate exponents; fit the decay of the mean gap per
     cell and flag the empirically best energy-weight exponent."""
     cfg = _load_config(args)
+    check_ensemble_size(cfg)
     cells, skipped = _sweep_cells(cfg)
     if not cells:
         raise ConfigError("; ".join(["no admissible sweep cell", *dict.fromkeys(skipped)]))
@@ -210,6 +200,7 @@ def cmd_compare(args) -> int:
     """Non-accelerated versus averaged stochastic runs on identical noise
     streams, each configured by its optimal exponent rule."""
     cfg = _load_config(args)
+    check_ensemble_size(cfg)
     choice = optimal_smd_exponent(cfg.alpha_sigma)
     smd_cfg = with_overrides(cfg, system_kind="smd", alpha_s=choice.alpha_s)
     samd_cfg = with_overrides(

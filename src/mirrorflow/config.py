@@ -300,6 +300,16 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     return bad
 
 
+def check_ensemble_size(cfg: ScenarioConfig) -> None:
+    """Raise ValidationError naming ensemble.count when cfg.count runs'
+    recorded rows together exceed MAX_RECORD_BYTES: an ensemble holds every
+    trajectory before it aggregates. `validate` has already capped one run."""
+    too_large = run_size_error(cfg.t0, cfg.t_end, cfg.h, cfg.record_stride,
+                               cfg.objective_dim, cfg.count)
+    if too_large is not None:
+        raise ValidationError([f"ensemble.count = {cfg.count} is too large: {too_large}"])
+
+
 def build_rates(cfg: ScenarioConfig) -> RateBundle:
     if cfg.system_kind in ("md", "smd"):
         return md_bundle(alpha_s=cfg.alpha_s, t0=cfg.t0)
@@ -365,14 +375,17 @@ def config_digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(emit_config(cfg).encode()).hexdigest()
 
 
-def write_manifest(path, cfg: ScenarioConfig, command: str, extra: dict | None = None) -> None:
-    """Flat key = value manifest sufficient to reproduce the run."""
+def write_manifest(path, cfg: ScenarioConfig, command: str, extra: dict | None = None,
+                   streams: int | None = None) -> None:
+    """Flat key = value manifest sufficient to reproduce the run; it lists
+    the seeds of the first `streams` trajectories (default cfg.count)."""
+    streams = cfg.count if streams is None else streams
     lines = [
         f"tool_version = {VERSION}",
         f"command = {command}",
         f"config_sha256 = {config_digest(cfg)}",
         f"base_seed = {cfg.seed}",
-        f"trajectory_seeds = {' '.join(f'{cfg.seed}:{i}' for i in range(cfg.count))}",
+        f"trajectory_seeds = {' '.join(f'{cfg.seed}:{i}' for i in range(streams))}",
         f"h = {cfg.h!r}",
         f"t0 = {cfg.t0!r}",
         f"t_end = {cfg.t_end!r}",

@@ -326,19 +326,41 @@ def step_fits_span(t0: float, t_end: float, h: float) -> bool:
 
 
 def run_size_error(t0: float, t_end: float, h: float, record_stride: int,
-                   dim: int) -> str | None:
-    """Why a run of step h on [t0, t_end], recording every record_stride-th
-    state of dim coordinates, is too large to start, or None: it may take at
-    most MAX_STEPS steps, and its recorded rows at most MAX_RECORD_BYTES."""
+                   dim: int, count: int = 1) -> str | None:
+    """Why `count` runs of step h on [t0, t_end], each recording every
+    record_stride-th state of dim coordinates, are too large to hold at once,
+    or None: each may take at most MAX_STEPS steps, and their recorded rows
+    together at most MAX_RECORD_BYTES."""
     n_steps, _ = step_count(t0, t_end, h)
     if n_steps > MAX_STEPS:
         return f"{n_steps:.3g} steps exceed the cap of {MAX_STEPS:.3g}"
     rows = -(-n_steps // record_stride) + 1
-    size = rows * (2 * dim + 2) * 8
+    size = count * rows * (2 * dim + 2) * 8
     if size > MAX_RECORD_BYTES:
-        return (f"{rows} recorded rows of {dim} coordinates take {size / 2**30:.3g} GiB, "
-                f"more than the cap of {MAX_RECORD_BYTES / 2**30:g} GiB")
+        runs = f"{count} runs of " if count > 1 else ""
+        return (f"{runs}{rows} recorded rows of {dim} coordinates take "
+                f"{size / 2**30:.3g} GiB, more than the cap of {MAX_RECORD_BYTES / 2**30:g} GiB")
     return None
+
+
+def check_run(t0: float, t_end: float, h: float, record_stride: int, dim: int,
+              count: int = 1) -> None:
+    """Raise ValueError unless `count` runs of step h on [t0, t_end], each
+    recording every record_stride-th state of dim coordinates, may start:
+    0 < h <= t_end - t0, record_stride >= 1, and `run_size_error`'s caps for
+    one run and for all `count` held at once."""
+    if t_end <= t0:
+        raise ValueError("t_end must exceed the bundle start time")
+    if not step_fits_span(t0, t_end, h):
+        raise ValueError("need 0 < h <= t_end - t0")
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    too_large = run_size_error(t0, t_end, h, record_stride, dim)
+    if too_large is not None:
+        raise ValueError(f"h = {h!r} is too small: {too_large}")
+    too_large = run_size_error(t0, t_end, h, record_stride, dim, count)
+    if too_large is not None:
+        raise ValueError(f"count = {count} is too large: {too_large}")
 
 
 def record_grid(
@@ -363,8 +385,8 @@ def simulate(
     stream: NoiseStream | None = None,
 ) -> Trajectory:
     """Integrate one trajectory of the configured system on [t0, t_end].
-    Raise before the first step when the run is over `run_size_error`'s caps,
-    or, for the averaged systems, fails `step_guard` or `check_admissible`.
+    Raise before the first step when `check_run` refuses the run, or, for
+    the averaged systems, it fails `step_guard` or `check_admissible`.
 
     Parameters
     ----------
@@ -383,15 +405,7 @@ def simulate(
     """
     rates = spec.rates
     t0 = rates.t0
-    if t_end <= t0:
-        raise ValueError("t_end must exceed the bundle start time")
-    if not step_fits_span(t0, t_end, h):
-        raise ValueError("need 0 < h <= t_end - t0")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
-    too_large = run_size_error(t0, t_end, h, record_stride, spec.mmap.dim)
-    if too_large is not None:
-        raise ValueError(f"h = {h!r} is too small: {too_large}")
+    check_run(t0, t_end, h, record_stride, spec.mmap.dim)
 
     noisy = spec.is_stochastic
     if noisy and stream is None:

@@ -122,24 +122,12 @@ class AdmissibilityReport:
 
 
 def check_admissible(bundle: RateBundle, horizon: float) -> AdmissibilityReport:
-    """Analytic admissibility of a power-law bundle on [t0, horizon]:
-    a = eta / r by construction, s non-decreasing, and eta >= dr/dt."""
+    """Analytic admissibility of a power-law bundle on [t0, horizon]: s
+    non-decreasing and eta >= dr/dt. The coupling a = eta / r needs no check:
+    `RateBundle` sets a itself."""
     if horizon <= bundle.t0:
         raise NonPositiveTime("horizon must exceed the bundle start time")
     conditions = []
-
-    ratio = bundle.a * bundle.r  # should reproduce eta exactly
-    coupling_ok = (
-        abs(ratio.coef - bundle.eta.coef) <= 1e-12 * abs(bundle.eta.coef)
-        and ratio.exponent == bundle.eta.exponent
-    )
-    conditions.append(
-        ConditionReport(
-            "averaging coupling a = eta / r",
-            coupling_ok,
-            "holds by construction" if coupling_ok else "coefficient mismatch",
-        )
-    )
 
     s_ok = bundle.s.exponent >= 0.0
     conditions.append(

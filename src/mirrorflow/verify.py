@@ -15,11 +15,9 @@ import numpy as np
 
 from . import presets
 from .analysis import (
-    EnergyContext,
     apt_experiment,
     covariation_check,
     detect_t2,
-    deterministic_rate_bound,
     ensemble,
     expected_value_bound,
     fit_rate_exponent,
@@ -35,7 +33,7 @@ from .dynamics import (
 )
 from .errors import ConfigError
 from .maps import EntropicSimplexMap, EuclideanMap, row_dot
-from .noise import NoiseStream, ZeroNoise, make_noise
+from .noise import NoiseStream, ZeroNoise
 from .objectives import MinimizerCertificate, Rank1Quadratic
 from .schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
 
@@ -142,12 +140,9 @@ class Verifier:
         [1, 100] at h = 1e-3: the gap must stay below 1.05x its bound."""
         rates = coupled_bundle(alpha_r=2.0, alpha_s=0.0)
         spec, cert = presets.default_spec("amd", rates=rates)
-        ctx = EnergyContext(spec.mmap, spec.objective, cert, rates)
-        l0 = ctx.initial_value(spec.x0, spec.z0)
         traj = simulate(spec, cert, t_end=100.0, h=1e-3, record_stride=10)
-        bounds = np.array(
-            [deterministic_rate_bound(ctx, l0, t) for t in traj.times]
-        )
+        l0 = traj.energy[0]
+        bounds = expected_value_bound(spec, cert, l0, traj.times)
         ratios = traj.gap[1:] / bounds[1:]
         worst = float(ratios.max())
         return CheckResult(
@@ -238,8 +233,7 @@ class Verifier:
                 spec, cert, t_end=200.0, h=1e-2, record_stride=10,
                 count=presets.DEFAULT_ENSEMBLE_COUNT, base_seed=self.base_seed,
             )
-            ctx = EnergyContext(spec.mmap, spec.objective, cert, spec.rates)
-            self._rate_ensemble = (spec, cert, ctx, stats, trajs)
+            self._rate_ensemble = (spec, cert, stats, trajs)
         return self._rate_ensemble
 
     def check_expected_rate(self) -> CheckResult:
@@ -248,14 +242,14 @@ class Verifier:
         fitted decay exponent of the mean gap lies in [-0.65, -0.35] (the
         predicted value is -1/2) and the mean gap respects the expected-gap
         bound within two standard errors at t = 10, 50, 100."""
-        spec, cert, ctx, stats, _ = self.rate_ensemble()
+        spec, cert, stats, trajs = self.rate_ensemble()
         fit = fit_rate_exponent(stats.times, stats.mean_gap, (20.0, 200.0))
-        l0 = ctx.initial_value(spec.x0, spec.z0)
+        l0 = trajs[0].energy[0]
         bound_ok = True
         bound_margins = {}
         for t_probe in (10.0, 50.0, 100.0):
             i = stats.nearest_index(t_probe)
-            bound = expected_value_bound(ctx, spec.noise, l0, float(stats.times[i]))
+            bound = expected_value_bound(spec, cert, l0, float(stats.times[i]))
             limit = bound + 2.0 * float(stats.stderr_gap[i])
             bound_margins[f"margin_t{int(t_probe)}"] = limit - float(stats.mean_gap[i])
             if stats.mean_gap[i] > limit:
@@ -299,7 +293,7 @@ class Verifier:
         """On the shared stochastic-rate ensemble, at least 90 percent of
         trajectories keep their accumulated Ito integral inside three
         diameters of the iterated-logarithm envelope."""
-        spec, _, _, _, trajs = self.rate_ensemble()
+        spec, _, _, trajs = self.rate_ensemble()
         fraction = martingale_envelope_check(trajs, diameter=spec.mmap.diameter, c=3.0)
         return CheckResult(
             "martingale-envelope",
@@ -343,10 +337,7 @@ class Verifier:
         identical seeds reproduce identical trajectories."""
         rates = coupled_bundle(1.0, 0.5)
         amd, cert = presets.default_spec("amd", rates=rates)
-        samd_zero = SystemSpec(
-            kind="samd", mmap=amd.mmap, objective=amd.objective, rates=amd.rates,
-            noise=make_noise("scalar", 0.0, 0.0, amd.mmap), x0=amd.x0, z0=amd.z0,
-        )
+        samd_zero, _ = presets.default_spec("samd", rates=rates, sigma0=0.0)
         ta = simulate(amd, cert, t_end=5.0, h=1e-2, record_stride=10)
         ts = simulate(samd_zero, cert, t_end=5.0, h=1e-2, record_stride=10,
                       stream=NoiseStream(self.base_seed, 0))
@@ -355,10 +346,7 @@ class Verifier:
         )
 
         md, cert_md = presets.default_spec("md", rates=md_bundle(0.5))
-        smd_zero = SystemSpec(
-            kind="smd", mmap=md.mmap, objective=md.objective, rates=md.rates,
-            noise=make_noise("scalar", 0.0, 0.0, md.mmap), x0=md.x0, z0=md.z0,
-        )
+        smd_zero, _ = presets.default_spec("smd", rates=md_bundle(0.5), sigma0=0.0)
         tm = simulate(md, cert_md, t_end=5.0, h=1e-2)
         tsm = simulate(smd_zero, cert_md, t_end=5.0, h=1e-2,
                        stream=NoiseStream(self.base_seed, 0))

@@ -5,12 +5,10 @@ import pytest
 
 from mirrorflow import presets
 from mirrorflow.analysis import (
-    EnergyContext,
     apt_experiment,
     b_and_envelope,
     covariation_check,
     detect_t2,
-    deterministic_rate_bound,
     ensemble,
     ensemble_to_csv,
     envelope,
@@ -18,16 +16,16 @@ from mirrorflow.analysis import (
     fit_rate_exponent,
     martingale_envelope_check,
 )
-from mirrorflow.dynamics import SystemSpec, Trajectory, simulate
+from mirrorflow.dynamics import SystemSpec, Trajectory, energy_anchor, energy_value, simulate
 from mirrorflow.errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
-from mirrorflow.noise import NoiseStream, ScalarPowerLawNoise, ZeroNoise
+from mirrorflow.noise import NoiseStream, ZeroNoise
 from mirrorflow.objectives import SumExp
 from mirrorflow.schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
 
 FIG_RATES = RateBundle(eta=CONSTANT_ONE, r=PowerLaw(1.0, 1.0), s=PowerLaw(1.0, 0.5))
 
 
-def lyapunov_drift_check(traj: Trajectory, ctx: EnergyContext) -> float:
+def lyapunov_drift_check(traj: Trajectory) -> float:
     """Max excess of the central-difference energy derivative over the drift
     bound gap * (r' - eta) + psi(x*) * s' along a deterministic averaged run.
     The excess is a discretization artifact and shrinks with h."""
@@ -35,26 +33,31 @@ def lyapunov_drift_check(traj: Trajectory, ctx: EnergyContext) -> float:
         raise ValueError("per-step recording required")
     if not traj.has_energy:
         raise BoundaryMinimizer("trajectory carries no energy series")
-    rates = ctx.rates
+    rates = traj.spec.rates
+    psi_x_star = traj.spec.mmap.psi(traj.certificate.x_star)
     ts, E = traj.times, traj.energy
     worst = -math.inf
     for i in range(1, len(ts) - 1):
         dldt = (E[i + 1] - E[i - 1]) / (ts[i + 1] - ts[i - 1])
         rhs = traj.gap[i] * (
             rates.r.derivative(ts[i]) - rates.eta.value(ts[i])
-        ) + ctx.psi_x_star * rates.s.derivative(ts[i])
+        ) + psi_x_star * rates.s.derivative(ts[i])
         worst = max(worst, dldt - rhs)
     return worst
 
 
 @pytest.fixture(scope="module")
-def fig_context(simplex3_mod, default_cert_mod):
-    return EnergyContext(
-        mmap=simplex3_mod,
-        objective=presets.default_sum_exp(),
-        certificate=default_cert_mod,
-        rates=FIG_RATES,
-    )
+def fig_energy(simplex3_mod, default_cert_mod):
+    """The energy of the default instance under FIG_RATES at one state (x, z)
+    and time t."""
+    objective = presets.default_sum_exp()
+    anchor = energy_anchor(simplex3_mod, default_cert_mod.z_star)
+
+    def energy(x, z, t):
+        gap = objective.value(np.asarray(x, float)) - default_cert_mod.f_star
+        return energy_value(simplex3_mod, FIG_RATES, anchor, gap, np.asarray(z, float), t)
+
+    return energy
 
 
 @pytest.fixture(scope="module")
@@ -70,29 +73,29 @@ def default_cert_mod(simplex3_mod):
 
 
 class TestEnergy:
-    def test_zero_at_anchored_optimum(self, fig_context):
-        cert = fig_context.certificate
+    def test_zero_at_anchored_optimum(self, fig_energy, default_cert_mod):
+        cert = default_cert_mod
         for t in (1.0, 4.0, 25.0):
-            s_t = fig_context.rates.s.value(t)
-            val = fig_context.value(cert.x_star, s_t * cert.z_star, t)
+            s_t = FIG_RATES.s.value(t)
+            val = fig_energy(cert.x_star, s_t * cert.z_star, t)
             assert val == pytest.approx(0.0, abs=1e-12)
 
-    def test_pure_bregman_term(self, fig_context):
-        cert = fig_context.certificate
+    def test_pure_bregman_term(self, fig_energy, simplex3_mod, default_cert_mod):
+        cert = default_cert_mod
         z = cert.z_star + np.array([0.3, -0.3, 0.0])
         t = 4.0
-        val = fig_context.value(cert.x_star, z, t)
-        s_t = fig_context.rates.s.value(t)
-        expected = s_t * fig_context.mmap.bregman_div_star(z / s_t, cert.z_star)
+        val = fig_energy(cert.x_star, z, t)
+        s_t = FIG_RATES.s.value(t)
+        expected = s_t * simplex3_mod.bregman_div_star(z / s_t, cert.z_star)
         assert val == pytest.approx(expected, rel=1e-12)
         assert val > 0
 
-    def test_initial_value_golden(self, fig_context, simplex3_mod):
+    def test_initial_value_golden(self, fig_energy, simplex3_mod, default_cert_mod):
         # default start (barycenter, zero dual): the divergence term reduces
         # to the potential at the optimum
         x0, z0 = presets.default_start(simplex3_mod)
-        got = fig_context.initial_value(x0, z0)
-        cert = fig_context.certificate
+        got = fig_energy(x0, z0, FIG_RATES.t0)
+        cert = default_cert_mod
         expected = (
             presets.default_sum_exp().value(x0)
             - cert.f_star
@@ -100,23 +103,29 @@ class TestEnergy:
         )
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.02040956531462453, abs=1e-9)
+        # r(t0) = s(t0) = 1 for every default bundle: each kind's run starts
+        # at this energy, bit for bit
+        for kind in ("amd", "samd", "smd", "md"):
+            spec, cert = presets.default_spec(kind, sigma0=0.1 if kind in ("samd", "smd") else 0.0)
+            traj = simulate(spec, cert, t_end=1.1, h=0.01,
+                            stream=NoiseStream(7, 0) if spec.is_stochastic else None)
+            assert traj.energy[0] == got
 
-    def test_nonnegative_on_random_states(self, fig_context, rng):
+    def test_nonnegative_on_random_states(self, fig_energy, rng):
         for _ in range(200):
             x = rng.dirichlet(np.ones(3))
             z = rng.normal(size=3)
             t = float(rng.uniform(1.0, 50.0))
-            assert fig_context.value(x, z, t) >= 0.0
+            assert fig_energy(x, z, t) >= 0.0
 
-    def test_boundary_certificate_rejected(self, simplex3_mod):
-        cert = presets.certificate_for(presets.face_sum_exp(), simplex3_mod)
-        with pytest.raises(BoundaryMinimizer):
-            EnergyContext(
-                mmap=simplex3_mod,
-                objective=presets.face_sum_exp(),
-                certificate=cert,
-                rates=FIG_RATES,
-            )
+    def test_boundary_certificate_rejected(self):
+        # a minimizer on a face has no interior dual anchor: the run records
+        # neither energy nor Ito integral
+        spec, cert = presets.default_spec("amd", rates=FIG_RATES,
+                                          objective=presets.face_sum_exp())
+        traj = simulate(spec, cert, t_end=1.1, h=0.01)
+        assert cert.boundary
+        assert not traj.has_energy and traj.martingale is None
 
 
 class TestDriftCheck:
@@ -134,12 +143,11 @@ class TestDriftCheck:
             noise=ZeroNoise(3), x0=np.ones(3) / 3, z0=np.array([0.4, -0.4, 0.0]),
         )
         traj = simulate(spec, cert, t_end=3.0, h=1e-3)
-        ctx = EnergyContext(simplex3_mod, obj, cert, rates)
         # s constant and gradient zero: the drift bound is zero and the
         # discrete energy derivative should sit at roundoff level
-        assert lyapunov_drift_check(traj, ctx) < 1e-8
+        assert lyapunov_drift_check(traj) < 1e-8
 
-    def test_bound_never_violated_under_refinement(self, fig_context):
+    def test_bound_never_violated_under_refinement(self):
         # the drift bound carries genuine slack (convexity plus the dropped
         # potential term), so the max excess converges to a negative value;
         # the executable property is that no step violates the bound beyond
@@ -147,7 +155,7 @@ class TestDriftCheck:
         spec, cert = presets.default_spec("amd", rates=FIG_RATES)
         for h in (2e-3, 1e-3):
             traj = simulate(spec, cert, t_end=3.0, h=h)
-            excess = lyapunov_drift_check(traj, fig_context)
+            excess = lyapunov_drift_check(traj)
             assert excess < 1e-6
 
     def test_diagnostic_on_inadmissible_run(self):
@@ -160,38 +168,40 @@ class TestDriftCheck:
 
 
 class TestBounds:
-    def test_constant_sensitivity_reduces_to_initial_over_r(self, simplex3_mod, default_cert_mod):
-        rates = coupled_bundle(2.0, 0.0)  # r = t^2, s constant
-        ctx = EnergyContext(simplex3_mod, presets.default_sum_exp(), default_cert_mod, rates)
-        assert deterministic_rate_bound(ctx, 0.7, 10.0) == pytest.approx(0.007)
+    def test_constant_sensitivity_reduces_to_initial_over_r(self):
+        spec, cert = presets.default_spec("amd", rates=coupled_bundle(2.0, 0.0))  # r = t^2
+        assert expected_value_bound(spec, cert, 0.7, 10.0) == pytest.approx(0.007)
 
-    def test_zero_noise_reduces_to_deterministic(self, fig_context):
-        zero = ZeroNoise(3)
-        for t in (2.0, 7.0):
-            assert expected_value_bound(fig_context, zero, 0.5, t) == pytest.approx(
-                deterministic_rate_bound(fig_context, 0.5, t)
-            )
+    def test_zero_noise_reduces_to_deterministic(self):
+        # zero noise adds no correction: the deterministic bound
+        # (psi(x*) (s(t) - s(t0)) + L0) / r(t), bit for bit, at one time or many
+        spec, cert = presets.default_spec("samd", rates=FIG_RATES, sigma0=0.0)
+        psi_x_star = spec.mmap.psi(cert.x_star)
+        ts = [2.0, 7.0]
+        deterministic = [
+            (psi_x_star * (FIG_RATES.s.value(t) - FIG_RATES.s.value(1.0)) + 0.5)
+            / FIG_RATES.r.value(t)
+            for t in ts
+        ]
+        assert [expected_value_bound(spec, cert, 0.5, t) for t in ts] == deterministic
+        assert expected_value_bound(spec, cert, 0.5, ts).tolist() == deterministic
 
-    def test_expected_bound_closed_form(self, simplex3_mod, default_cert_mod):
+    def test_expected_bound_closed_form(self, simplex3_mod):
         # alpha_r = 1, alpha_s = 1/2, constant volatility 0.1:
         # correction integral = (3/2) * 0.01 * 2 (sqrt(t) - 1)
-        rates = coupled_bundle(1.0, 0.5)
-        ctx = EnergyContext(simplex3_mod, presets.default_sum_exp(), default_cert_mod, rates)
-        noise = ScalarPowerLawNoise(0.1, 0.0, 3)
+        spec, cert = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
         l0 = 0.3
         t = 100.0
-        psi_star_pt = simplex3_mod.psi(default_cert_mod.x_star)
+        psi_star_pt = simplex3_mod.psi(cert.x_star)
         expected = (
             l0 + psi_star_pt * (math.sqrt(t) - 1.0) + 1.5 * 0.01 * 2.0 * (math.sqrt(t) - 1.0)
         ) / t
-        assert expected_value_bound(ctx, noise, l0, t) == pytest.approx(expected, rel=1e-12)
+        assert expected_value_bound(spec, cert, l0, t) == pytest.approx(expected, rel=1e-12)
 
-    def test_expected_bound_dominant_exponent(self, simplex3_mod, default_cert_mod):
-        rates = coupled_bundle(1.0, 0.5)
-        ctx = EnergyContext(simplex3_mod, presets.default_sum_exp(), default_cert_mod, rates)
-        noise = ScalarPowerLawNoise(0.1, 0.0, 3)
+    def test_expected_bound_dominant_exponent(self):
+        spec, cert = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
         ts = np.geomspace(1e3, 1e6, 40)
-        vals = np.array([expected_value_bound(ctx, noise, 0.3, t) for t in ts])
+        vals = expected_value_bound(spec, cert, 0.3, ts)
         fit = fit_rate_exponent(ts, vals, (1e3, 1e6))
         # subdominant 1/t terms still bias the finite-window fit slightly
         assert fit.slope == pytest.approx(-0.5, abs=0.05)
@@ -259,6 +269,19 @@ class TestEnsemble:
         solo = simulate(spec, cert, t_end=2.0, h=0.01, record_stride=10,
                         stream=NoiseStream(12, 2))
         np.testing.assert_array_equal(trajs[2].x, solo.x)
+
+    def test_oversized_ensemble_is_a_value_error(self, monkeypatch):
+        # one run's 400,001 recorded rows fit the cap; 1000 of them held at
+        # once would take 23.8 GiB
+        def never(*args, **kwargs):
+            raise AssertionError("a run started before the ensemble size was checked")
+
+        monkeypatch.setattr("mirrorflow.analysis.simulate", never)
+        spec, cert = presets.default_spec("samd", sigma0=0.1)
+        with pytest.raises(ValueError, match=r"count = 1000 is too large: 1000 runs of "
+                                             r"400001 recorded rows .* 23.8 GiB"):
+            ensemble(spec, cert, t_end=5.0, h=1e-6, record_stride=10, count=1000,
+                     base_seed=7)
 
     def test_csv_schema(self, tmp_path):
         spec, cert = presets.default_spec("samd", rates=FIG_RATES, sigma0=0.1)

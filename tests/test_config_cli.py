@@ -222,6 +222,30 @@ class TestCli:
         assert "config_sha256" in manifest
         assert "base_seed = 11" in manifest
 
+    def test_simulate_manifest_lists_the_one_stream_it_uses(self, quick_cfg, tmp_path):
+        # ensemble.count = 3, but simulate runs stream (seed, 0) alone
+        assert main(["simulate", "--config", str(quick_cfg)]) == 0
+        lines = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+        assert "trajectory_seeds = 11:0" in lines
+        assert "trajectories = 1" in lines
+        assert main(["ensemble", "--config", str(quick_cfg)]) == 0
+        lines = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+        assert "trajectory_seeds = 11:0 11:1 11:2" in lines
+
+    def test_explicit_learning_rate_has_no_coupling_round_off(self, tmp_path):
+        # a = eta / r = t^-0.8 and a * r has exponent -0.6000000000000001, not
+        # -0.6; eta = t^-0.6 >= r' = 0.2 t^-0.8 on [1, 50], so the run is admissible
+        cfg = tmp_path / "explicit.cfg"
+        cfg.write_text(
+            "system.kind = amd\nnoise.kind = zero\nnoise.sigma0 = 0.0\n"
+            "rates.eta = explicit\nrates.eta_exponent = -0.6\nrates.alpha_r = 0.2\n"
+            f"run.t_end = 50\nout = {tmp_path / 'run'}\n"
+        )
+        assert validate(parse_config(cfg)) == []
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = np.loadtxt(tmp_path / "run" / "trajectory_000.csv", delimiter=",", skiprows=1)
+        assert data[-1, 0] == 50.0 and np.all(np.isfinite(data))
+
     def test_simulate_one_exact_step_below_its_rounded_span(self, tmp_path):
         # 1.005 - 1.0 rounds below run.h = 0.005, yet the span is one step
         cfg = tmp_path / "one.cfg"
@@ -392,6 +416,25 @@ class TestCli:
         cfg.write_text(MINIMAL + f"{lines}\nout = {tmp_path / 'run'}\n")
         assert main([command, "--config", str(cfg), *flags]) == 2
         assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["ensemble", "rates", "compare"])
+    def test_oversized_ensemble_is_named_by_count(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        def never(*args, **kwargs):
+            raise AssertionError("an ensemble ran before its size was checked")
+
+        monkeypatch.setattr("mirrorflow.cli.ensemble", never)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("system.kind = samd\nrun.t_end = 5.0\nrun.h = 1e-6\n"
+                       f"ensemble.count = 1000\nout = {tmp_path / 'run'}\n")
+        # one run fits its caps, so simulate still accepts the scenario
+        assert validate(parse_config(cfg)) == []
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: ensemble.count = 1000 is too large: 1000 runs of 400001 "
+            "recorded rows of 3 coordinates take 23.8 GiB, more than the cap of 1 GiB"
+        ]
         assert not (tmp_path / "run").exists()
 
     def test_rates_skips_an_inadmissible_cell(self, tmp_path, capsys):
