@@ -6,14 +6,13 @@ fixed-length windows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (SystemSpec, Trajectory, bind_step, check_run, noise_blocks, simulate,
-                       wiener_increments, write_csv)
+                       step_increments, write_csv)
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from .noise import NoiseStream, ZeroNoise
 from .objectives import MinimizerCertificate
@@ -307,11 +306,13 @@ def covariation_check(spec: SystemSpec, steps: int, h: float, stream: NoiseStrea
 
     advance = bind_step(spec)
     increments = np.empty((steps, n))
-    for start, stop in noise_blocks(steps):
-        draws = (wiener_increments(stream, n, stop - start, h) if spec.is_stochastic
-                 else itertools.repeat(None, stop - start))
-        for k, dW in zip(range(start, stop), draws):
-            x, z, increments[k], _, _, _ = advance(x, z, t0 + k * h, h, dW)
+    x, z = x.tolist(), z.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in noise_blocks(steps):
+            _, draws = step_increments(stream if spec.is_stochastic else None, n,
+                                       stop - start, h)
+            for k, dW in zip(range(start, stop), draws):
+                x, z, increments[k], _, _, _ = advance(x, z, t0 + k * h, h, dW)
 
     empirical = np.cov(increments.T, ddof=1)
     if noise.is_zero:

@@ -151,8 +151,13 @@ def bind_step(spec: SystemSpec):
     state and the raw dual increment before the dual projection, it returns
     what the Ito integral's increment needs (see `ito_increments`): eta,
     sigma's diagonal d and the anchor, the time-t mirror point (x itself for
-    md/smd). The step never modifies an array in place, so it may return
-    (and the caller may keep) its inputs."""
+    md/smd).
+
+    States, increments and the anchor are lists of Python floats, whose
+    arithmetic rounds as numpy's elementwise operations do; numpy computes
+    only what Python would round otherwise: the objective's gradient, exp
+    and `row_sum`'s sums of many coordinates. The step never modifies a list
+    in place, so it may return (and the caller may keep) its inputs."""
     kind, rates = spec.kind, spec.rates
     gradient = spec.objective.gradient
     mirror, project = spec.mmap.point_functions()
@@ -166,35 +171,44 @@ def bind_step(spec: SystemSpec):
         s_at = _law_closure(rates.s)
 
         def mirror_at(z, t):
-            return mirror(z / s_at(t))
+            s = s_at(t)
+            return mirror([v / s for v in z])
 
     if kind == "nesterov":
         friction = spec.beta + 1.0
 
         def advance(x, z, t, hk, dW=None):
-            dz = hk * (-gradient(x) - z * (friction / t))
-            return x + hk * z, project(z + dz), dz, 0.0, 0.0, x
+            damping = friction / t
+            dz = [hk * (-g - v * damping) for g, v in zip(gradient(x).tolist(), z)]
+            return ([u + hk * v for u, v in zip(x, z)], project([v + dv for v, dv in zip(z, dz)]),
+                    dz, 0.0, 0.0, x)
 
         return advance
 
     def advance(x, z, t, hk, dW=None):
-        g = gradient(x)
+        g = gradient(x).tolist()
         if averaged:
             eta = eta_at(t)
             anchor = mirror_at(z, t)
         else:
             eta = 1.0
             anchor = x
-        # the scalar factor carries the sign: exact, and one array op fewer
+        # the scalar factor carries the sign: exact, and one operation fewer
         if dW is None:
             d = 0.0
-            dz = -(eta * hk) * g
+            scale = -(eta * hk)
+            dz = [scale * gi for gi in g]
         else:
             d = diag(x, t)
-            dz = -eta * (hk * g + d * dW)
-        z_new = project(z + dz)
+            if isinstance(d, np.ndarray):  # one volatility per coordinate
+                d = d.tolist()
+            ds = d if isinstance(d, list) else itertools.repeat(d)
+            neg_eta = -eta
+            dz = [neg_eta * (hk * gi + di * w) for gi, di, w in zip(g, ds, dW)]
+        z_new = project([v + dv for v, dv in zip(z, dz)])
         if averaged:
-            x_new = x + (a_at(t) * hk) * (anchor - x)
+            pull = a_at(t) * hk
+            x_new = [u + pull * (m - u) for u, m in zip(x, anchor)]
         else:
             x_new = mirror_at(z_new, t + hk)
         return x_new, z_new, dz, eta, d, anchor
@@ -222,6 +236,17 @@ def wiener_increments(stream: NoiseStream, n: int, rows: int, hk: float) -> np.n
     `stream.standard_normals(n) * sqrt(hk)` draws, and the stream ends at
     the same position."""
     return stream.standard_normals(n * rows).reshape(rows, n) * math.sqrt(hk)
+
+
+def step_increments(stream: NoiseStream | None, n: int, rows: int, hk: float):
+    """(block, per_step): the `rows` steps' Wiener increments drawn as
+    `wiener_increments` draws them, and the same numbers as one list per
+    step for the step's float arithmetic. Without a stream (no noise), None
+    and `rows` Nones."""
+    if stream is None:
+        return None, itertools.repeat(None, rows)
+    block = wiener_increments(stream, n, rows, hk)
+    return block, block.tolist()
 
 
 def noise_blocks(steps: int) -> list[tuple[int, int]]:
@@ -441,6 +466,7 @@ def simulate(
         z = rates.a.value(t0) * (np.asarray(spec.z0, dtype=float) - x)
     else:
         z = np.array(spec.z0, dtype=float)
+    x, z = x.tolist(), z.tolist()
 
     advance = bind_step(spec)
     sigma_sq = spec.noise.sigma_star_sq
@@ -451,39 +477,40 @@ def simulate(
     mart = 0.0
     b_acc = 0.0
     ri = 0
-    for start, stop, hk in blocks:
-        rows = stop - start
-        dWs = wiener_increments(stream, n, rows, hk) if noisy else itertools.repeat(None, rows)
-        ri_block = ri
-        etas, ds, anchors = [], [], []
-        for k, dW in zip(range(start, stop), dWs):
-            if k == rec_rows[ri]:  # the last recorded row, n_steps, lies past the loop
-                xs[ri] = x
-                zs[ri] = z
-                bs[ri] = b_acc
-                ri += 1
-            t = t0 + k * h
-            x, z, _, eta, d, anchor = advance(x, z, t, hk, dW)
-            if noisy:
-                b_acc += eta * eta * sigma_sq(t) * hk
-                if ito:
-                    etas.append(eta)
-                    ds.append(d)
-                    anchors.append(anchor)
+    # a diverging run overflows in numpy before the finiteness check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop, hk in blocks:
+            block, dWs = step_increments(stream if noisy else None, n, stop - start, hk)
+            ri_block = ri
+            etas, ds, anchors = [], [], []
+            for k, dW in zip(range(start, stop), dWs):
+                if k == rec_rows[ri]:  # the last recorded row, n_steps, lies past the loop
+                    xs[ri] = x
+                    zs[ri] = z
+                    bs[ri] = b_acc
+                    ri += 1
+                t = t0 + k * h
+                x, z, _, eta, d, anchor = advance(x, z, t, hk, dW)
+                if noisy:
+                    b_acc += eta * eta * sigma_sq(t) * hk
+                    if ito:
+                        etas.append(eta)
+                        ds.append(d)
+                        anchors.append(anchor)
 
-            # a sum of a list is finite exactly when every coordinate is, short
-            # of overflow, whatever the order it adds them in
-            if not math.isfinite(sum(x.tolist())) or not math.isfinite(sum(z.tolist())):
-                part = "x" if not math.isfinite(sum(x.tolist())) else "z"
-                raise NonFinite(f"{part} became non-finite at step {k}; "
-                                f"the last finite state is at t = {t:g}")
-        if ito:
-            # the running integral after each step of the block, in the order
-            # (and so with the bits) of adding the increments one at a time
-            running = np.add.accumulate(np.concatenate(
-                ([mart], ito_increments(etas, ds, anchors, x_star, dWs))))
-            marts[ri_block:ri] = running[[row - start for row in rec_rows[ri_block:ri]]]
-            mart = running[-1]
+                # a sum is finite exactly when every coordinate is, short of
+                # overflow, whatever the order it adds them in
+                if not math.isfinite(sum(x)) or not math.isfinite(sum(z)):
+                    part = "x" if not math.isfinite(sum(x)) else "z"
+                    raise NonFinite(f"{part} became non-finite at step {k}; "
+                                    f"the last finite state is at t = {t:g}")
+            if ito:
+                # the running integral after each step of the block, in the order
+                # (and so with the bits) of adding the increments one at a time
+                running = np.add.accumulate(np.concatenate(
+                    ([mart], ito_increments(etas, ds, anchors, x_star, block))))
+                marts[ri_block:ri] = running[[row - start for row in rec_rows[ri_block:ri]]]
+                mart = running[-1]
     xs[ri] = x
     zs[ri] = z
     bs[ri] = b_acc

@@ -27,6 +27,22 @@ def row_dot(a: np.ndarray, b: np.ndarray):
     return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]
 
 
+#: fewer values than this are summed left to right, as numpy sums them
+PAIRWISE_MIN = 8
+
+
+def row_sum(values) -> float:
+    """The sum of a sequence of floats with the bits of `np.add.reduce`:
+    numpy adds fewer than PAIRWISE_MIN values left to right from 0.0, which
+    Python does as fast, and sums longer rows pairwise, so those go to it."""
+    if len(values) >= PAIRWISE_MIN:
+        return float(np.add.reduce(np.array(values, dtype=float)))
+    total = 0.0
+    for v in values:  # not `sum`, which compensates its rounding from Python 3.12
+        total += v
+    return total
+
+
 def log_sum_exp(z: np.ndarray):
     """Numerically stable log(sum(exp(z))) over the last axis via max
     subtraction."""
@@ -43,6 +59,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
         return e / np.add.reduce(e)
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def softmax_point(z: list) -> list:
+    """`softmax` of one point held as a list, bit for bit: numpy only for
+    the exponential, which Python's `math.exp` does not round alike."""
+    top = max(z)
+    e = np.exp([v - top for v in z]).tolist()
+    total = row_sum(e)
+    return [v / total for v in e]
 
 
 def _points(x: np.ndarray, dim: int) -> np.ndarray:
@@ -89,10 +114,10 @@ class MirrorMap(ABC):
 
     @abstractmethod
     def point_functions(self) -> tuple:
-        """(grad_psi_star, projection) for one float point, without the input
-        conversion: the step's own state is float already. The projection
-        maps a dual point to its canonical representative, which has the same
-        conjugate gradient."""
+        """(grad_psi_star, projection) for one point held as a list of
+        floats, returning lists with the bits of the array methods. The
+        projection maps a dual point to its canonical representative, which
+        has the same conjugate gradient."""
 
     @abstractmethod
     def dual_of(self, x: np.ndarray) -> np.ndarray:
@@ -163,11 +188,14 @@ class EntropicSimplexMap(MirrorMap):
         return softmax(np.asarray(z, dtype=float))
 
     def point_functions(self) -> tuple:
-        return softmax, self._centered
+        dim = self.dim
 
-    def _centered(self, z: np.ndarray) -> np.ndarray:
-        # z - z.mean(), bit for bit, without the generic mean's overhead
-        return z - np.add.reduce(z) / self.dim
+        def centred(z: list) -> list:
+            # z - z.mean(), bit for bit
+            mean = row_sum(z) / dim
+            return [v - mean for v in z]
+
+        return softmax_point, centred
 
     def dual_of(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -227,7 +255,7 @@ class EuclideanMap(MirrorMap):
         return np.asarray(z, dtype=float).copy()
 
     def point_functions(self) -> tuple:
-        # no copies: the step never modifies a state array in place
+        # no copies: the step never modifies a state list in place
         return _identity, _identity
 
     def dual_of(self, x: np.ndarray) -> np.ndarray:
@@ -253,7 +281,7 @@ class EuclideanMap(MirrorMap):
         return 0.0 if not np.any(d) else float("inf")
 
 
-def _identity(z: np.ndarray) -> np.ndarray:
+def _identity(z: list) -> list:
     return z
 
 

@@ -310,6 +310,22 @@ class TestCli:
                               text=True, check=True)
         assert proc.stdout == "[]\n"
 
+    def test_diverging_run_is_one_error_line(self, tmp_path):
+        # explicit Euler at h = 0.5 on the sum-exp objective overflows; the
+        # finiteness check names it, and numpy prints no warning of its own
+        cfg = tmp_path / "diverging.cfg"
+        cfg.write_text("system.kind = md\nmirror.kind = euclidean\nnoise.kind = zero\n"
+                       "rates.alpha_s = 0.0\nrun.h = 0.5\nrun.t_end = 60\n"
+                       f"out = {tmp_path / 'run'}\n")
+        src = str(Path(mirrorflow.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mirrorflow", "simulate", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: x became non-finite at step 4; the last finite state is at t = 3"
+        ]
+
     @pytest.mark.parametrize("command, lines", [
         ("compare", ""),
         ("rates", "sweep.alpha_sigma = 0.0\nsweep.alpha_s = 0.5\nsweep.alpha_r = auto\n"),

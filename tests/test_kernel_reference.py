@@ -8,6 +8,7 @@ recomputed at every recorded row. The two must agree bit for bit."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from mirrorflow.dynamics import (
     simulate,
     step_count,
 )
-from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
+from mirrorflow.maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap
 from mirrorflow.noise import NoiseStream, make_noise
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import coupled_bundle
@@ -202,6 +203,37 @@ def test_simulate_equals_the_per_step_reference_bitwise(run):
             np.testing.assert_array_equal(got, ref[name], err_msg=name)
     n_steps, _ = step_count(spec.rates.t0, t_end, h)
     assert stream.position == (spec.mmap.dim * n_steps if spec.is_stochastic else 0)
+
+
+@pytest.mark.parametrize("noise_kind", ["scalar", "diagonal"])
+@pytest.mark.parametrize("geometry", ["simplex", "euclidean"])
+@pytest.mark.parametrize("n", [PAIRWISE_MIN - 1, PAIRWISE_MIN])
+def test_samd_on_either_side_of_the_pairwise_sum(n, geometry, noise_kind):
+    """`row_sum` adds fewer than 8 coordinates in Python and passes 8 or
+    more to numpy; the derandomized profile need not draw either n."""
+    rng = np.random.default_rng(n)
+    if geometry == "simplex":
+        mmap = EntropicSimplexMap(n)
+        objective = SumExp(rng.uniform(-2.0, 2.0, (2, n)))
+        x0 = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+        x_star = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+        z0, z_star = np.log(x0), mmap.dual_of(x_star)
+    else:
+        mmap = EuclideanMap(n)
+        c = rng.uniform(-1.0, 1.0, n)
+        objective = Rank1Quadratic(c / np.linalg.norm(c))
+        x0 = z0 = rng.uniform(-2.0, 2.0, n)
+        x_star = z_star = rng.uniform(-1.0, 1.0, n)
+    cert = MinimizerCertificate(x_star=x_star, f_star=objective.value(x_star), z_star=z_star,
+                                boundary=False, residual=0.0, method="drawn")
+    spec = SystemSpec(kind="samd", mmap=mmap, objective=objective,
+                      rates=coupled_bundle(1.0, 0.5),
+                      noise=make_noise(noise_kind, 0.2, -0.1, mmap), x0=x0, z0=z0)
+    h, t_end = 0.01, 1.0 + 300.5 * 0.01
+    traj = simulate(spec, cert, t_end, h, record_stride=3, stream=NoiseStream(n, 1))
+    ref = ref_simulate(spec, cert, t_end, h, 3, NoiseStream(n, 1))
+    for name in ("x", "z", "gap", "energy", "b", "martingale"):
+        np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
 
 
 def test_covariation_draws_the_per_step_sequence():

@@ -1,8 +1,11 @@
 """Property-based checks: the scenario text round trip, the agreement
 between configuration admission and what the integrator accepts, the
 power-law form and exactness of every noise model's volatility bound, the
-entropic map's identities at extreme dual magnitudes, and stacked
-evaluation equal to row-by-row evaluation."""
+entropic map's identities at extreme dual magnitudes, stacked evaluation
+equal to row-by-row evaluation, and the step's list arithmetic equal to the
+array methods."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from mirrorflow.config import (
 )
 from mirrorflow.dynamics import energy_anchor, energy_value, simulate
 from mirrorflow.errors import StepTooLarge
-from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
+from mirrorflow.maps import EntropicSimplexMap, EuclideanMap, row_sum, softmax
 from mirrorflow.noise import (
     DiagonalPowerLawNoise,
     NoiseStream,
@@ -323,3 +326,31 @@ def test_stacked_evaluation_equals_row_by_row_bitwise(stack):
                                  times.reshape(sh)),
          [energy_value(mmap, rates, anchor, g, z, t)
           for g, z, t in zip(gaps.tolist(), zs, times.tolist())])
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def magnitudes():
+    """Floats of either sign from 1e-300 to 1e300, with the two zeros."""
+    scaled = st.tuples(finite(1.0, 10.0), st.integers(-300, 299), st.sampled_from([1.0, -1.0]))
+    return st.one_of(scaled.map(lambda p: p[2] * p[0] * 10.0 ** p[1]),
+                     st.sampled_from([0.0, -0.0]))
+
+
+@given(st.lists(st.one_of(magnitudes(), st.floats()), min_size=1, max_size=300))
+def test_row_sum_is_numpys_sum_bitwise(values):
+    # st.floats() reaches inf, -inf and nan; sums of huge values overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert bits(row_sum(values)) == bits(float(np.add.reduce(np.array(values))))
+
+
+@given(st.integers(1, 50).flatmap(dual_points))
+def test_point_functions_equal_the_array_methods_bitwise(z):
+    mirror, project = EntropicSimplexMap(len(z)).point_functions()
+    point = z.tolist()
+    got_x, got_z = mirror(point), project(point)
+    assert type(got_x) is list and type(got_z) is list
+    assert list(map(bits, got_x)) == list(map(bits, softmax(z).tolist()))
+    assert list(map(bits, got_z)) == list(map(bits, (z - z.mean()).tolist()))
