@@ -11,10 +11,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (SystemSpec, Trajectory, bind_step, check_run, noise_blocks, simulate,
-                       step_increments, write_csv)
+from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_TWIN, SystemSpec, Trajectory, bind_step,
+                       check_run, nearest_index, noise_blocks, simulate, step_increments,
+                       write_csv)
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
-from .noise import NoiseStream, ZeroNoise
+from .noise import NoiseStream, StateScaledNoise, ZeroNoise
 from .objectives import MinimizerCertificate
 from .schedules import CONSTANT_ONE, PowerLaw
 
@@ -105,9 +106,6 @@ class EnsembleStats:
     mean_energy: np.ndarray | None
     std_energy: np.ndarray | None
     count: int
-
-    def nearest_index(self, t: float) -> int:
-        return int(np.abs(self.times - t).argmin())
 
 
 def ensemble(
@@ -202,7 +200,7 @@ def fit_indices(times: np.ndarray, window: tuple[float, float], n_points: int = 
     if not t_lo < t_hi:
         raise ValueError("window must satisfy t_lo < t_hi")
     targets = np.geomspace(t_lo, t_hi, n_points)
-    idx = np.unique([int(np.abs(times - t).argmin()) for t in targets])
+    idx = np.unique([nearest_index(times, t) for t in targets])
     if len(idx) < 10:
         raise ShortFitWindow(f"rate fit window [{t_lo:g}, {t_hi:g}] holds {len(idx)} "
                              f"distinct recorded times, fewer than 10")
@@ -279,14 +277,14 @@ def covariation_check(spec: SystemSpec, steps: int, h: float, stream: NoiseStrea
     Raw increments (the step's dz) are taken before the stabilizing
     dual projection (the projection removes the mean component and would
     otherwise distort the covariance without affecting the primal path).
-    Requires a constant learning rate and a time-constant scalar/diagonal
-    model so the target is a single matrix.
+    Requires a constant learning rate and a scalar model that depends on
+    neither time nor state, so the target is a single matrix.
 
     Returns (max relative diagonal error, max absolute off-diagonal,
     off-diagonal band 4 * eta^2 sigma0^2 h / sqrt(steps), target matrix).
     """
     rates = spec.rates
-    if spec.kind in ("amd", "samd"):
+    if spec.kind in AVERAGED_KINDS:
         if not rates.eta.is_constant:
             raise ValueError("constant learning rate required")
         eta0 = rates.eta.coef
@@ -300,6 +298,8 @@ def covariation_check(spec: SystemSpec, steps: int, h: float, stream: NoiseStrea
     d0 = noise.diag(x, t0)
     if not np.isscalar(d0):
         raise ValueError("scalar noise required for a constant target")
+    if isinstance(noise, StateScaledNoise):
+        raise ValueError("state-independent noise required for a constant target")
     if not noise.is_zero and abs(noise.diag(x, t0 + 1.0) - d0) > 1e-12 * abs(d0):
         raise ValueError("time-constant noise required for a constant target")
     target = (eta0**2) * (float(d0) ** 2) * h * np.eye(n)
@@ -389,9 +389,9 @@ def apt_experiment(
     if not traj.has_energy:
         raise BoundaryMinimizer("energy series required")
     spec = traj.spec
-    det_kind = {"samd": "amd", "smd": "md"}.get(spec.kind, spec.kind)
+    det_kind = DETERMINISTIC_TWIN.get(spec.kind, spec.kind)
     times = traj.times
-    i2 = traj.nearest_index(t2)
+    i2 = nearest_index(times, t2)
     if abs(times[i2] - t2) > 1e-9:
         raise ValueError("t2 must lie on the recorded grid")
     rec_dt = float(times[1] - times[0])

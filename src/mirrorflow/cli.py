@@ -37,7 +37,7 @@ from .config import (
     with_overrides,
     write_manifest,
 )
-from .dynamics import record_grid, simulate, write_csv
+from .dynamics import AVERAGED_KINDS, record_grid, simulate, write_csv
 from .errors import ConfigError, MirrorflowError
 from .noise import NoiseStream
 from .schedules import optimal_amd_exponents, optimal_smd_exponent
@@ -60,6 +60,15 @@ def _outdir(cfg: ScenarioConfig) -> Path:
     return out
 
 
+def _plot(args, path: Path, series, title: str, ylabel: str = "value") -> None:
+    """With --plots, write the (label, times, values) series whose values
+    are not None as an SVG line chart at path."""
+    if args.plots:
+        from .svg import line_chart
+
+        line_chart(path, [s for s in series if s[2] is not None], title=title, ylabel=ylabel)
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     spec, cert = build_spec(cfg)
@@ -73,14 +82,9 @@ def cmd_simulate(args) -> int:
     (out / "scenario.cfg").write_text(emit_config(cfg))
     write_manifest(out / "manifest.txt", cfg, "simulate",
                    {"trajectories": 1, "f_star": repr(cert.f_star)}, streams=1)
-    if args.plots:
-        from .svg import line_chart
-
-        series = [("gap", traj.times, traj.gap)]
-        if traj.has_energy:
-            series.append(("energy", traj.times, traj.energy))
-        line_chart(out / "trajectory_000.svg", series,
-                   title=f"{cfg.system_kind} run", ylabel="value")
+    _plot(args, out / "trajectory_000.svg",
+          [("gap", traj.times, traj.gap), ("energy", traj.times, traj.energy)],
+          f"{cfg.system_kind} run")
     print(f"wrote {out / 'trajectory_000.csv'}")
     return 0
 
@@ -95,7 +99,7 @@ def cmd_ensemble(args) -> int:
         count=cfg.count, base_seed=cfg.seed,
     )
     gap_bound = None
-    if spec.kind in ("amd", "samd") and trajs[0].has_energy:
+    if spec.kind in AVERAGED_KINDS and trajs[0].has_energy:
         gap_bound = expected_value_bound(spec, cert, trajs[0].energy[0], stats.times.tolist())
     ensemble_to_csv(
         stats, out / "ensemble.csv", gap_bound=gap_bound,
@@ -106,14 +110,10 @@ def cmd_ensemble(args) -> int:
     (out / "scenario.cfg").write_text(emit_config(cfg))
     write_manifest(out / "manifest.txt", cfg, "ensemble",
                    {"trajectories": cfg.count, "f_star": repr(cert.f_star)})
-    if args.plots:
-        from .svg import line_chart
-
-        series = [("mean gap", stats.times, stats.mean_gap)]
-        if stats.mean_energy is not None:
-            series.append(("mean energy", stats.times, stats.mean_energy))
-        line_chart(out / "ensemble.svg", series,
-                   title=f"{cfg.system_kind} ensemble (n={cfg.count})", ylabel="value")
+    _plot(args, out / "ensemble.svg",
+          [("mean gap", stats.times, stats.mean_gap),
+           ("mean energy", stats.times, stats.mean_energy)],
+          f"{cfg.system_kind} ensemble (n={cfg.count})")
     print(f"wrote {out / 'ensemble.csv'} and {cfg.count} trajectory files")
     return 0
 
@@ -225,15 +225,10 @@ def cmd_compare(args) -> int:
     write_manifest(out / "manifest.txt", cfg, "compare",
                    {"alpha_s": choice.alpha_s,
                     "predicted_rate_exponent": choice.rate_exponent})
-    if args.plots:
-        from .svg import line_chart
-
-        line_chart(
-            out / "compare.svg",
-            [("smd mean gap", smd.times, smd.mean_gap),
-             ("samd mean gap", samd.times, samd.mean_gap)],
-            title=f"alpha_sigma = {cfg.alpha_sigma}", ylabel="gap",
-        )
+    _plot(args, out / "compare.svg",
+          [("smd mean gap", smd.times, smd.mean_gap),
+           ("samd mean gap", samd.times, samd.mean_gap)],
+          f"alpha_sigma = {cfg.alpha_sigma}", ylabel="gap")
     for label, fit in fits.items():
         print(f"{label}: fitted slope {fit.slope:+.3f} (stderr {fit.stderr:.3f})")
     print(f"wrote {path}")

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .dynamics import (SYSTEM_KINDS, SystemSpec, md_bundle, nesterov_bundle, run_size_error,
-                       step_fits_span, step_guard)
+from . import __version__
+from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_KINDS, SYSTEM_KINDS, SystemSpec, md_bundle,
+                       nesterov_bundle, noise_for, run_size_error, step_fits_span, step_guard)
 from .errors import ParseError, ValidationError
 from .maps import make_map
-from .noise import ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, make_objective, solve_minimizer
 from .presets import (
     DEFAULT_BASE_SEED,
@@ -30,9 +30,6 @@ from .presets import (
 )
 from .schedules import PowerLaw, RateBundle, check_admissible, optimal_amd_exponents
 
-VERSION = "0.1.0"
-
-SYSTEM_CHOICES = SYSTEM_KINDS
 OBJECTIVE_CHOICES = ("sum-exp", "rank1-quadratic")
 OBJECTIVE_SOURCES = ("default", "face", "inline")
 MIRROR_CHOICES = ("entropic-simplex", "euclidean")
@@ -211,8 +208,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if nonfinite:
         return [f"{key} must be finite, not NaN or infinity" for key in nonfinite]
     bad = []
-    if cfg.system_kind not in SYSTEM_CHOICES:
-        bad.append(f"system.kind must be one of {SYSTEM_CHOICES}, got {cfg.system_kind!r}")
+    if cfg.system_kind not in SYSTEM_KINDS:
+        bad.append(f"system.kind must be one of {SYSTEM_KINDS}, got {cfg.system_kind!r}")
     if cfg.objective_kind not in OBJECTIVE_CHOICES:
         bad.append(f"objective.kind must be one of {OBJECTIVE_CHOICES}")
     if cfg.objective_source not in OBJECTIVE_SOURCES:
@@ -276,13 +273,13 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             bad.append("system.kind = nesterov requires mirror.kind = euclidean")
         if cfg.beta < 2.0:
             bad.append("rates.beta must be >= 2")
-    if cfg.system_kind in ("md", "amd", "nesterov") and cfg.noise_kind != "zero":
+    if cfg.system_kind in DETERMINISTIC_KINDS and cfg.noise_kind != "zero":
         if cfg.sigma0 != 0.0:
             bad.append(
                 f"system.kind = {cfg.system_kind} is deterministic; set noise.kind "
                 "= zero or noise.sigma0 = 0"
             )
-    if cfg.system_kind in ("amd", "samd"):
+    if cfg.system_kind in AVERAGED_KINDS:
         if cfg.alpha_r == "auto" and cfg.alpha_sigma >= 0.5:
             bad.append(
                 "rates.alpha_r = auto requires noise.alpha_sigma < 1/2 "
@@ -311,10 +308,10 @@ def check_ensemble_size(cfg: ScenarioConfig) -> None:
 
 
 def build_rates(cfg: ScenarioConfig) -> RateBundle:
-    if cfg.system_kind in ("md", "smd"):
-        return md_bundle(alpha_s=cfg.alpha_s, t0=cfg.t0)
     if cfg.system_kind == "nesterov":
         return nesterov_bundle(cfg.beta, t0=cfg.t0)
+    if cfg.system_kind not in AVERAGED_KINDS:
+        return md_bundle(alpha_s=cfg.alpha_s, t0=cfg.t0)
     alpha_r = cfg.resolved_alpha_r()
     if cfg.eta_mode == "coupled":
         eta = PowerLaw(cfg.r_coef * alpha_r, alpha_r - 1.0)
@@ -346,18 +343,13 @@ def build_spec(cfg: ScenarioConfig) -> tuple[SystemSpec, MinimizerCertificate]:
         certificate = solve_minimizer(objective, mmap, tol=1e-10)
     else:
         certificate = certificate_for(objective, mmap)
-    rates = build_rates(cfg)
-    if cfg.system_kind in ("smd", "samd") and cfg.noise_kind != "zero":
-        noise = make_noise(cfg.noise_kind, cfg.sigma0, cfg.alpha_sigma, mmap)
-    else:
-        noise = ZeroNoise(mmap.dim)
     x0, z0 = default_start(mmap)
     spec = SystemSpec(
         kind=cfg.system_kind,
         mmap=mmap,
         objective=objective,
-        rates=rates,
-        noise=noise,
+        rates=build_rates(cfg),
+        noise=noise_for(cfg.system_kind, cfg.noise_kind, cfg.sigma0, cfg.alpha_sigma, mmap),
         x0=x0,
         z0=z0,
         beta=cfg.beta if cfg.system_kind == "nesterov" else None,
@@ -381,7 +373,7 @@ def write_manifest(path, cfg: ScenarioConfig, command: str, extra: dict | None =
     the seeds of the first `streams` trajectories (default cfg.count)."""
     streams = cfg.count if streams is None else streams
     lines = [
-        f"tool_version = {VERSION}",
+        f"tool_version = {__version__}",
         f"command = {command}",
         f"config_sha256 = {config_digest(cfg)}",
         f"base_seed = {cfg.seed}",

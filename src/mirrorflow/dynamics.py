@@ -27,13 +27,17 @@ import numpy as np
 
 from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
 from .maps import EuclideanMap, MirrorMap, row_dot
-from .noise import NoiseModel, NoiseStream
+from .noise import NoiseModel, NoiseStream, ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, Objective
 from .schedules import CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible
 
 SYSTEM_KINDS = ("md", "smd", "amd", "samd", "nesterov")
 DETERMINISTIC_KINDS = ("md", "amd", "nesterov")
-STOCHASTIC_KINDS = ("smd", "samd")
+#: each stochastic kind and the deterministic kind it reduces to without noise
+DETERMINISTIC_TWIN = {"smd": "md", "samd": "amd"}
+STOCHASTIC_KINDS = tuple(DETERMINISTIC_TWIN)
+#: the kinds whose primal state averages the mirror point at rate a(t)
+AVERAGED_KINDS = ("amd", "samd")
 #: primal averaging must be a convex combination: a(t) * h <= this at every step
 AVERAGING_STEP_LIMIT = 0.5
 #: steps of Wiener increments drawn per call into the noise stream
@@ -76,6 +80,15 @@ class SystemSpec:
     @property
     def is_stochastic(self) -> bool:
         return self.kind in STOCHASTIC_KINDS and not self.noise.is_zero
+
+
+def noise_for(kind: str, noise_kind: str, sigma0: float, alpha_sigma: float,
+              mmap: MirrorMap) -> NoiseModel:
+    """The noise model of a `kind` system: `make_noise`'s model for the
+    stochastic kinds, ZeroNoise for the deterministic ones."""
+    if kind in STOCHASTIC_KINDS:
+        return make_noise(noise_kind, sigma0, alpha_sigma, mmap)
+    return ZeroNoise(mmap.dim)
 
 
 def nesterov_bundle(beta: float, t0: float = 1.0) -> RateBundle:
@@ -162,7 +175,7 @@ def bind_step(spec: SystemSpec):
     gradient = spec.objective.gradient
     mirror, project = spec.mmap.point_functions()
     diag = spec.noise.diag
-    averaged = kind in ("amd", "samd")
+    averaged = kind in AVERAGED_KINDS
     eta_at, a_at = _law_closure(rates.eta), _law_closure(rates.a)
     if rates.s == CONSTANT_ONE:  # z / 1.0 is z exactly
         def mirror_at(z, t):
@@ -229,23 +242,18 @@ def ito_increments(etas, ds, anchors, x_star: np.ndarray, dW: np.ndarray) -> np.
     return row_dot(neg_eta * (d * (np.array(anchors) - x_star)), dW)
 
 
-def wiener_increments(stream: NoiseStream, n: int, rows: int, hk: float) -> np.ndarray:
-    """`rows` Wiener increments of n coordinates over steps of length hk, in
-    one (rows, n) draw. The stream gives the same numbers whatever the block
-    size, so these are the increments of per-step
-    `stream.standard_normals(n) * sqrt(hk)` draws, and the stream ends at
-    the same position."""
-    return stream.standard_normals(n * rows).reshape(rows, n) * math.sqrt(hk)
-
-
 def step_increments(stream: NoiseStream | None, n: int, rows: int, hk: float):
-    """(block, per_step): the `rows` steps' Wiener increments drawn as
-    `wiener_increments` draws them, and the same numbers as one list per
-    step for the step's float arithmetic. Without a stream (no noise), None
-    and `rows` Nones."""
+    """(block, per_step): the Wiener increments of n coordinates over `rows`
+    steps of length hk, in one (rows, n) draw, and the same numbers as one
+    list per step for the step's float arithmetic. The stream gives the same
+    numbers whatever the block size, so these are the increments of per-step
+    `stream.standard_normals(n) * sqrt(hk)` draws, and the stream ends at
+    the same position. Any object with `standard_normals(count)` and
+    `position` serves as the stream. Without a stream (no noise), None and
+    `rows` Nones."""
     if stream is None:
         return None, itertools.repeat(None, rows)
-    block = wiener_increments(stream, n, rows, hk)
+    block = stream.standard_normals(n * rows).reshape(rows, n) * math.sqrt(hk)
     return block, block.tolist()
 
 
@@ -283,9 +291,6 @@ class Trajectory:
     def n_recorded(self) -> int:
         return len(self.times)
 
-    def nearest_index(self, t: float) -> int:
-        return int(np.abs(self.times - t).argmin())
-
     def to_csv(self, path) -> None:
         """Write `t, x_1..x_n, z_1..z_n, gap, energy, b, martingale`; the
         energy/martingale cells stay empty when those series are absent."""
@@ -294,6 +299,11 @@ class Trajectory:
                   "gap", "energy", "b", "martingale"]
         write_csv(path, header, [self.times, *self.x.T, *self.z.T, self.gap, self.energy,
                                  self.b, self.martingale])
+
+
+def nearest_index(times: np.ndarray, t: float) -> int:
+    """Index of the recorded time nearest to t; the first one on a tie."""
+    return int(np.abs(times - t).argmin())
 
 
 def _csv_cell(value) -> str:
@@ -435,7 +445,7 @@ def simulate(
     noisy = spec.is_stochastic
     if noisy and stream is None:
         raise ValueError("stochastic runs need a NoiseStream")
-    if spec.kind in ("amd", "samd"):
+    if spec.kind in AVERAGED_KINDS:
         too_large = step_guard(rates, h, t_end)
         if too_large is not None:
             raise StepTooLarge(too_large)
@@ -556,7 +566,7 @@ def primal_average_residual(traj: Trajectory) -> float:
     mirror points. Needs per-step recording; shrinks at first order in h."""
     if traj.record_stride != 1:
         raise StrideTooCoarse("per-step recording (stride 1) required")
-    if traj.spec.kind not in ("amd", "samd"):
+    if traj.spec.kind not in AVERAGED_KINDS:
         raise ValueError("only averaged systems have the integral form")
     rates = traj.spec.rates
     mmap = traj.spec.mmap

@@ -52,11 +52,7 @@ def log_sum_exp(z: np.ndarray):
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis; invariant under adding a multiple
-    of the ones vector. One point takes its shift from the list, which is
-    exact and cheaper than a numpy reduction on a short vector."""
-    if z.ndim == 1:
-        e = np.exp(z - max(z.tolist()))
-        return e / np.add.reduce(e)
+    of the ones vector."""
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .maps import (INTERIOR_THRESHOLD, EntropicSimplexMap, EuclideanMap, MirrorMap, row_dot,
-                   softmax)
+                   softmax_point)
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -243,16 +243,20 @@ def solve_minimizer(
         floor = 1e-300  # keep log finite while coordinates collapse to a face
         spent = 0
         # alternate fixed-point phases with face polish: interior minimizers
-        # converge inside the first phase, boundary ones rely on the polish
+        # converge inside the first phase, boundary ones rely on the polish.
+        # A phase carries x as a list of floats: on a few coordinates numpy's
+        # call overhead outweighs its arithmetic, which floats round alike.
         while spent < max_iter:
             phase = min(150_000, max_iter - spent)
+            x = x.tolist()
             for it in range(phase):
-                g = obj.gradient(x)
-                x = softmax(np.log(np.maximum(x, floor)) - step * g)
+                g = obj.gradient(x).tolist()
+                logs = np.log([max(v, floor) for v in x]).tolist()
+                x = softmax_point([u - step * gi for u, gi in zip(logs, g)])
                 if it % 64 == 0 and _kkt_residual(obj, mmap, x) < tol:
                     break
             spent += it + 1
-            x = _polish_on_face(obj, mmap, x)
+            x = _polish_on_face(obj, mmap, np.array(x))
             if _kkt_residual(obj, mmap, x) < tol:
                 break
         residual = _kkt_residual(obj, mmap, x)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import SystemSpec, md_bundle
+from .dynamics import AVERAGED_KINDS, SystemSpec, md_bundle, noise_for
 from .maps import EntropicSimplexMap, make_map
-from .noise import ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, Rank1Quadratic, SumExp, solve_minimizer
 from .schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
 
@@ -98,23 +97,14 @@ def default_spec(
     objective = objective if objective is not None else default_sum_exp()
     cert = certificate_for(objective, mmap)
     if rates is None:
-        rates = (
-            coupled_bundle(1.0, 0.5)
-            if kind in ("amd", "samd")
-            else md_bundle(alpha_s=0.5)
-        )
-    noise = (
-        make_noise(noise_kind, sigma0, alpha_sigma, mmap)
-        if kind in ("smd", "samd")
-        else ZeroNoise(3)
-    )
+        rates = coupled_bundle(1.0, 0.5) if kind in AVERAGED_KINDS else md_bundle(alpha_s=0.5)
     x0, z0 = default_start(mmap)
     spec = SystemSpec(
         kind=kind,
         mmap=mmap,
         objective=objective,
         rates=rates,
-        noise=noise,
+        noise=noise_for(kind, noise_kind, sigma0, alpha_sigma, mmap),
         x0=x0,
         z0=z0,
     )

@@ -16,7 +16,8 @@ from mirrorflow.analysis import (
     fit_rate_exponent,
     martingale_envelope_check,
 )
-from mirrorflow.dynamics import SystemSpec, Trajectory, energy_anchor, energy_value, simulate
+from mirrorflow.dynamics import (SystemSpec, Trajectory, energy_anchor, energy_value,
+                                nearest_index, simulate)
 from mirrorflow.errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from mirrorflow.noise import NoiseStream, ZeroNoise
 from mirrorflow.objectives import SumExp
@@ -373,6 +374,14 @@ class TestCovariation:
         with pytest.raises(ValueError, match="time-constant"):
             covariation_check(spec, steps=100, h=1e-4, stream=NoiseStream(1, 0))
 
+    def test_requires_state_independent_noise(self):
+        # sigma(x0) is no target for a volatility that moves with the state
+        spec, _ = presets.default_spec("samd", sigma0=0.1, noise_kind="state-scaled")
+        stream = NoiseStream(7, 0)
+        with pytest.raises(ValueError, match="state-independent"):
+            covariation_check(spec, steps=2000, h=1e-3, stream=stream)
+        assert stream.position == 0
+
 
 @pytest.fixture(scope="module")
 def short_run():
@@ -386,7 +395,7 @@ class TestShadowing:
         eps = 2.4e-3
         t2 = detect_t2(short_run, eps, t_min=50.0)
         assert t2 is not None and t2 >= 50.0
-        i2 = short_run.nearest_index(t2)
+        i2 = nearest_index(short_run.times, t2)
         assert short_run.energy[i2] <= eps / 3.0
         assert detect_t2(short_run, 1e-12, t_min=50.0) is None
 

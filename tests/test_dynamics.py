@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mirrorflow import presets
 from mirrorflow.dynamics import (
+    DETERMINISTIC_TWIN,
     SystemSpec,
     averaged_iterate,
     bind_step,
@@ -19,6 +21,7 @@ from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
 from mirrorflow.noise import NoiseStream, ZeroNoise, make_noise
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
+from mirrorflow.verify import ZeroStream
 from test_kernel_reference import ref_step
 
 FIG_RATES = RateBundle(eta=CONSTANT_ONE, r=PowerLaw(1.0, 1.0), s=PowerLaw(1.0, 0.5))
@@ -35,6 +38,26 @@ def oscillator_spec(objective, x0, beta):
         rates=nesterov_bundle(beta), noise=ZeroNoise(len(x0)), x0=x0,
         z0=np.zeros(len(x0)), beta=beta,
     )
+
+
+def noisy_spec(kind, geometry, noise_kind):
+    """A smd/samd spec with eta = 1 and noise sigma0 = 0.2, alpha = -0.1 on
+    the default simplex instance or a euclidean rank-one quadratic."""
+    rates = coupled_bundle(1.0, 0.5) if kind == "samd" else md_bundle(alpha_s=0.5)
+    if geometry == "simplex":
+        return presets.default_spec(kind, rates=rates, sigma0=0.2, alpha_sigma=-0.1,
+                                    noise_kind=noise_kind)
+    mmap = EuclideanMap(3)
+    x0 = np.array([1.0, -0.5, 0.2])
+    spec = SystemSpec(
+        kind=kind, mmap=mmap, objective=Rank1Quadratic(np.array([1.0, 0.6, -0.3])),
+        rates=rates, noise=make_noise(noise_kind, 0.2, -0.1, mmap), x0=x0, z0=x0,
+    )
+    cert = MinimizerCertificate(
+        x_star=np.zeros(3), f_star=0.0, z_star=np.zeros(3),
+        boundary=False, residual=0.0, method="analytic",
+    )
+    return spec, cert
 
 
 class TestSingleSteps:
@@ -201,21 +224,7 @@ class TestSimulateMatchesStepFunctions:
     def test_replay_across_noise_blocks(self, kind, geometry, noise_kind):
         # 700 steps of h in blocks of 256, 256 and 188 rows, then a clipped
         # half step drawn alone; the Ito integral is settled once per block
-        rates = coupled_bundle(1.0, 0.5) if kind == "samd" else md_bundle(alpha_s=0.5)
-        if geometry == "simplex":
-            spec, cert = presets.default_spec(kind, rates=rates, sigma0=0.2,
-                                              alpha_sigma=-0.1, noise_kind=noise_kind)
-        else:
-            mmap = EuclideanMap(3)
-            x0 = np.array([1.0, -0.5, 0.2])
-            spec = SystemSpec(
-                kind=kind, mmap=mmap, objective=Rank1Quadratic(np.array([1.0, 0.6, -0.3])),
-                rates=rates, noise=make_noise(noise_kind, 0.2, -0.1, mmap), x0=x0, z0=x0,
-            )
-            cert = MinimizerCertificate(
-                x_star=np.zeros(3), f_star=0.0, z_star=np.zeros(3),
-                boundary=False, residual=0.0, method="analytic",
-            )
+        spec, cert = noisy_spec(kind, geometry, noise_kind)
         h, stride = 0.01, 7
         t_end = 1.0 + 700.5 * h
         stream = NoiseStream(9, 2)
@@ -267,6 +276,21 @@ class TestDegeneracyAndDeterminism:
         tsm = simulate(smd, cert, t_end=3.0, h=0.01, stream=NoiseStream(1, 0))
         np.testing.assert_array_equal(tm.x, tsm.x)
         np.testing.assert_array_equal(tm.z, tsm.z)
+
+    @pytest.mark.parametrize("noise_kind", ["scalar", "diagonal", "state-scaled"])
+    @pytest.mark.parametrize("geometry", ["simplex", "euclidean"])
+    @pytest.mark.parametrize("kind", ["smd", "samd"])
+    def test_zero_increments_equal_the_deterministic_twin(self, kind, geometry, noise_kind):
+        # eta = 1, so each noisy dual increment -(h g + d * 0.0) is the
+        # twin's -h g; the 300 steps span two noise blocks
+        spec, cert = noisy_spec(kind, geometry, noise_kind)
+        twin = dataclasses.replace(spec, kind=DETERMINISTIC_TWIN[kind], noise=ZeroNoise(3))
+        stream = ZeroStream()
+        noisy = simulate(spec, cert, t_end=4.0, h=0.01, record_stride=7, stream=stream)
+        plain = simulate(twin, cert, t_end=4.0, h=0.01, record_stride=7)
+        assert spec.is_stochastic and stream.position == 3 * 300
+        np.testing.assert_array_equal(noisy.x, plain.x)
+        np.testing.assert_array_equal(noisy.z, plain.z)
 
     def test_identical_seed_bitwise_repeat(self):
         spec, cert = make_spec("samd", sigma0=0.1, rates=FIG_RATES)

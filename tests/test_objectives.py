@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -108,6 +109,36 @@ class TestOracle:
         cert = solve_minimizer(Rank1Quadratic(np.array([1.0, 0.6])), m, tol=1e-10)
         assert cert.f_star == pytest.approx(0.0, abs=1e-15)
         assert cert.residual < 1e-10
+
+    @pytest.mark.parametrize("name, n, x_star_sha256, f_star", [
+        ("default", 3, "e66e05adbe933c68467e187447387335fdf632d5bffb3bc1600d0bdb8415b4e4",
+         "0x1.7dea6d9e03670p+1"),
+        ("face", 3, "782f14c8954152de067dc8b571f775ee4b3d2c00a7ca327a053eaa54093ec211",
+         "0x1.bae4bddebda34p+1"),
+        ("rank1", 3, "017acd2142396efd66da0af47d73827435375532bc3449ada8a43149cf175415",
+         "0x1.6322a9478c728p-110"),
+        ("inline", 8, "d287c1e52c192c0a4117de2f90977920703ca15f335384860b386b74b8aa406b",
+         "0x1.fffb26c879fdap+2"),
+        ("inline", 50, "4145f5e48fdbe91110589b0b0b86d8657a2d461012034a50c687306dc455255a",
+         "0x1.8fff2d07e42cep+5"),
+    ])
+    def test_minimizer_bits_pinned(self, name, n, x_star_sha256, f_star):
+        """x* and f* bit for bit, as recorded before the oracle's fixed-point
+        loop moved to float lists; n = 8 and 50 take `row_sum`'s pairwise
+        side. The inline instances converge quickly at step 0.2, where the
+        curvature bound's default step crawls at n = 50."""
+        step = None
+        if name == "inline":
+            objective = SumExp(np.array([
+                [float(i == j) - 1.0 / n + ((3 * i + 5 * j) % 11 - 5) / 1024.0
+                 for j in range(n)] for i in range(n)]))
+            step = 0.2
+        else:
+            objective = {"default": presets.default_sum_exp, "face": presets.face_sum_exp,
+                         "rank1": presets.default_rank1}[name]()
+        cert = solve_minimizer(objective, maps.EntropicSimplexMap(n), tol=1e-12, step=step)
+        assert hashlib.sha256(cert.x_star.astype("<f8").tobytes()).hexdigest() == x_star_sha256
+        assert float(cert.f_star).hex() == f_star
 
     def test_budget_exhaustion_raises(self, simplex3):
         with pytest.raises(NoConvergence):
