@@ -6,7 +6,6 @@ from .analysis import (
     EnsembleStats,
     RateFit,
     apt_experiment,
-    b_and_envelope,
     covariation_check,
     detect_t2,
     ensemble,
@@ -59,7 +58,6 @@ __all__ = [
     "EnsembleStats",
     "RateFit",
     "apt_experiment",
-    "b_and_envelope",
     "covariation_check",
     "detect_t2",
     "ensemble",

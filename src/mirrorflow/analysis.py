@@ -17,22 +17,7 @@ from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_TWIN, SystemSpec, Trajector
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from .noise import NoiseStream, StateScaledNoise, ZeroNoise
 from .objectives import MinimizerCertificate
-from .schedules import CONSTANT_ONE, PowerLaw
-
-
-def noise_integral(
-    sigma_star: PowerLaw | None,
-    t0: float,
-    t: float,
-    times: PowerLaw = CONSTANT_ONE,
-    per: PowerLaw = CONSTANT_ONE,
-) -> float:
-    """Closed-form integral over [t0, t] of the weight times / per against
-    sigma_star^2; zero noise (None) integrates to 0. The weight comes in two
-    parts so that eta^2 sigma_star^2 / s rounds as (eta^2 sigma_star^2) / s."""
-    if sigma_star is None:
-        return 0.0
-    return (times * sigma_star.squared() / per).integral(t0, t)
+from .schedules import noise_integral
 
 
 def expected_value_bound(
@@ -46,13 +31,11 @@ def expected_value_bound(
     computed once; each time is bounded on its own in Python arithmetic."""
     rates, mmap = spec.rates, spec.mmap
     psi_x_star = mmap.psi(certificate.x_star)
-    sigma_star = spec.noise.sigma_star_power()
-    eta_sq = rates.eta.squared()
+    integral = noise_integral(rates.eta, spec.noise.sigma_star_power(), rates.t0, t,
+                              per=rates.s)
 
-    def bound(t):
-        correction = 0.5 * mmap.dim * mmap.lipschitz_grad_conjugate * noise_integral(
-            sigma_star, rates.t0, t, times=eta_sq, per=rates.s
-        )
+    def bound(t, integral):
+        correction = 0.5 * mmap.dim * mmap.lipschitz_grad_conjugate * integral
         return (
             initial_energy
             + psi_x_star * (rates.s.value(t) - rates.s.value(rates.t0))
@@ -60,8 +43,8 @@ def expected_value_bound(
         ) / rates.r.value(t)
 
     if np.ndim(t) == 0:
-        return bound(t)
-    return np.array([bound(u) for u in t])
+        return bound(t, integral)
+    return np.array([bound(u, i) for u, i in zip(t, integral.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +62,6 @@ def envelope(b: float) -> float:
     return math.sqrt(max(b, _E) * math.log(math.log(max(b, _E**2))))
 
 
-def b_and_envelope(
-    eta: PowerLaw, sigma_star: PowerLaw | None, t0: float, t: float
-) -> tuple[float, float]:
-    """Accumulated squared noise b(t) = integral of (eta sigma_star)^2 over
-    [t0, t] and its envelope; a None volatility means no noise."""
-    b = noise_integral(sigma_star, t0, t, times=eta.squared())
-    return b, envelope(b)
-
-
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
@@ -95,11 +69,13 @@ def b_and_envelope(
 
 @dataclass
 class EnsembleStats:
-    """Per-time mean/spread summaries over seeded trajectories. Standard
+    """Per-time mean/spread summaries over seeded trajectories, with the
+    runs' accumulated noise strength b (the same for every run). Standard
     deviations are None for single-trajectory ensembles; energy columns are
     None when the runs carry no energy series."""
 
     times: np.ndarray
+    b: np.ndarray
     mean_gap: np.ndarray
     std_gap: np.ndarray | None
     stderr_gap: np.ndarray | None
@@ -139,6 +115,7 @@ def ensemble(
     gaps = np.array([tr.gap for tr in trajectories])
     stats = EnsembleStats(
         times=trajectories[0].times.copy(),
+        b=trajectories[0].b.copy(),
         mean_gap=gaps.mean(axis=0),
         std_gap=gaps.std(axis=0, ddof=1) if count >= 2 else None,
         stderr_gap=gaps.std(axis=0, ddof=1) / math.sqrt(count) if count >= 2 else None,
@@ -154,25 +131,17 @@ def ensemble(
     return stats, trajectories
 
 
-def ensemble_to_csv(
-    stats: EnsembleStats,
-    path,
-    gap_bound=None,
-    eta: PowerLaw | None = None,
-    sigma_star: PowerLaw | None = None,
-    t0: float | None = None,
-) -> None:
+def ensemble_to_csv(stats: EnsembleStats, path, gap_bound=None) -> None:
     """Write `t, mean_gap, std_gap, stderr_gap, mean_energy, std_energy,
     gap_bound, b, envelope`, with `gap_bound` one value per recorded time;
-    unavailable columns stay empty."""
+    unavailable columns stay empty, and so do b and the envelope at t0."""
     header = ["t", "mean_gap", "std_gap", "stderr_gap", "mean_energy", "std_energy",
               "gap_bound", "b", "envelope"]
-    times = [float(t) for t in stats.times]
-    noisy = eta is not None and t0 is not None
-    b_env = [b_and_envelope(eta, sigma_star, t0, t) if noisy and t > t0 else (None, None)
-             for t in times]
-    write_csv(path, header, [times, stats.mean_gap, stats.std_gap, stats.stderr_gap,
-                             stats.mean_energy, stats.std_energy, gap_bound, *zip(*b_env)])
+    bs = [None, *stats.b[1:].tolist()]
+    envelopes = [None, *map(envelope, bs[1:])]
+    write_csv(path, header, [stats.times.tolist(), stats.mean_gap, stats.std_gap,
+                             stats.stderr_gap, stats.mean_energy, stats.std_energy, gap_bound,
+                             bs, envelopes])
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +161,18 @@ class RateFit:
     n_points: int
 
 
-def fit_indices(times: np.ndarray, window: tuple[float, float], n_points: int = 30) -> np.ndarray:
-    """Distinct indices of the recorded `times` nearest to n_points
+#: geometrically spaced target times of a rate fit
+FIT_POINTS = 30
+
+
+def fit_indices(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Distinct indices of the recorded `times` nearest to FIT_POINTS
     geometrically spaced targets inside `window`; raises ShortFitWindow
     when fewer than 10 remain."""
     t_lo, t_hi = window
     if not t_lo < t_hi:
         raise ValueError("window must satisfy t_lo < t_hi")
-    targets = np.geomspace(t_lo, t_hi, n_points)
+    targets = np.geomspace(t_lo, t_hi, FIT_POINTS)
     idx = np.unique([nearest_index(times, t) for t in targets])
     if len(idx) < 10:
         raise ShortFitWindow(f"rate fit window [{t_lo:g}, {t_hi:g}] holds {len(idx)} "
@@ -211,14 +184,13 @@ def fit_rate_exponent(
     times: np.ndarray,
     series: np.ndarray,
     window: tuple[float, float],
-    n_points: int = 30,
 ) -> RateFit:
     """Fit the decay exponent of a positive series on geometrically spaced
     sample times inside `window` (snapped to the recorded grid)."""
     t_lo, t_hi = window
     times = np.asarray(times, float)
     series = np.asarray(series, float)
-    idx = fit_indices(times, window, n_points)
+    idx = fit_indices(times, window)
     y = series[idx]
     if np.any(y <= 0.0):
         raise NonPositiveValues("series must be positive inside the fit window")
@@ -377,7 +349,6 @@ def apt_experiment(
     t2: float,
     t_window: float,
     epsilon: float,
-    n_windows: int | None = None,
 ) -> AptReport:
     """For each window [t2 + k T, t2 + (k+1) T], integrate the deterministic
     flow from the stochastic state at the window start and record the sup
@@ -398,8 +369,7 @@ def apt_experiment(
     per_window = round(t_window / rec_dt)
     if abs(per_window * rec_dt - t_window) > 1e-6:
         raise ValueError("window length must be a multiple of the record step")
-    available = int((len(times) - 1 - i2) // per_window)
-    k_max = available if n_windows is None else min(n_windows, available)
+    k_max = int((len(times) - 1 - i2) // per_window)
     if k_max < 1:
         raise ValueError("trajectory too short for a single window past t2")
 

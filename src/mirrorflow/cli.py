@@ -101,10 +101,7 @@ def cmd_ensemble(args) -> int:
     gap_bound = None
     if spec.kind in AVERAGED_KINDS and trajs[0].has_energy:
         gap_bound = expected_value_bound(spec, cert, trajs[0].energy[0], stats.times.tolist())
-    ensemble_to_csv(
-        stats, out / "ensemble.csv", gap_bound=gap_bound,
-        eta=spec.rates.eta, sigma_star=spec.noise.sigma_star_power(), t0=cfg.t0,
-    )
+    ensemble_to_csv(stats, out / "ensemble.csv", gap_bound=gap_bound)
     for i, traj in enumerate(trajs):
         traj.to_csv(out / f"trajectory_{i:03d}.csv")
     (out / "scenario.cfg").write_text(emit_config(cfg))
@@ -259,28 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="path to a scenario file (flat key = value)")
+    def add_common(p):
+        p.add_argument("--config", help="path to a scenario file (flat key = value)")
         p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, help="base seed override")
         p.add_argument("--plots", action="store_true",
                        help="also write self-contained SVG charts")
 
     p = sub.add_parser("simulate", help="one trajectory to CSV")
-    add_common(p, config_required=False)
+    add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ensemble", help="seeded ensemble with statistics")
-    add_common(p, config_required=False)
+    add_common(p)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("rates", help="exponent sweep with fitted decay rates")
-    add_common(p, config_required=False)
+    add_common(p)
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("compare", help="paired smd/samd ensembles on shared noise")
-    add_common(p, config_required=False)
+    add_common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run named verification suites")

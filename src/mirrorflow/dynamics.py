@@ -12,7 +12,8 @@ evaluated at the left endpoint):
 
 Alongside the states, a run records the optimality gap, the energy
 r(t) * gap + s(t) * D(z / s, z*), the accumulated noise strength
-b(t) = integral of (eta * sigma_star)^2, and the running Ito integral of
+b(t) = integral of (eta * sigma_star)^2 from t0 (in closed form: the bound
+sigma_star does not depend on the path), and the running Ito integral of
 <V, dB> with V = -eta sigma^T (mirror - x*), using the same Gaussian
 increments as the dual update.
 """
@@ -29,7 +30,8 @@ from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
 from .maps import EuclideanMap, MirrorMap, row_dot
 from .noise import NoiseModel, NoiseStream, ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, Objective
-from .schedules import CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible
+from .schedules import (CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible,
+                        noise_integral)
 
 SYSTEM_KINDS = ("md", "smd", "amd", "samd", "nesterov")
 DETERMINISTIC_KINDS = ("md", "amd", "nesterov")
@@ -44,7 +46,8 @@ AVERAGING_STEP_LIMIT = 0.5
 NOISE_BLOCK_ROWS = 256
 #: the most steps one run may take
 MAX_STEPS = 10**9
-#: the most bytes one run's recorded rows may take, at (2n + 2) float64 values a row
+#: the most bytes one run's recorded rows may take, at 2n + 5 float64 values a row
+#: (the time, x, z, gap, energy, b and the martingale)
 MAX_RECORD_BYTES = 2**30
 
 
@@ -266,10 +269,10 @@ def noise_blocks(steps: int) -> list[tuple[int, int]]:
 
 @dataclass
 class Trajectory:
-    """Recorded run: strictly increasing times with state snapshots and the
-    in-step accumulators. ``z`` holds the velocity for oscillator runs.
-    Energy and martingale series are None when no interior dual anchor
-    exists (gap-only recording)."""
+    """Recorded run: strictly increasing times with state snapshots, the
+    accumulated noise strength b and the Ito integral. ``z`` holds the
+    velocity for oscillator runs. Energy and martingale series are None
+    when no interior dual anchor exists (gap-only recording)."""
 
     times: np.ndarray
     x: np.ndarray
@@ -370,7 +373,7 @@ def run_size_error(t0: float, t_end: float, h: float, record_stride: int,
     if n_steps > MAX_STEPS:
         return f"{n_steps:.3g} steps exceed the cap of {MAX_STEPS:.3g}"
     rows = -(-n_steps // record_stride) + 1
-    size = count * rows * (2 * dim + 2) * 8
+    size = count * rows * (2 * dim + 5) * 8
     if size > MAX_RECORD_BYTES:
         runs = f"{count} runs of " if count > 1 else ""
         return (f"{runs}{rows} recorded rows of {dim} coordinates take "
@@ -467,7 +470,6 @@ def simulate(
     m = len(rec_rows)
     xs = np.empty((m, n))
     zs = np.empty((m, n))
-    bs = np.empty(m)
     marts = np.zeros(m)  # the Ito integral stays 0.0 without noise
 
     x = np.array(spec.x0, dtype=float)
@@ -479,13 +481,11 @@ def simulate(
     x, z = x.tolist(), z.tolist()
 
     advance = bind_step(spec)
-    sigma_sq = spec.noise.sigma_star_sq
     ito = noisy and track_energy
     blocks = [(start, stop, h) for start, stop in noise_blocks(full_steps)]
     if not exact_span:  # the clipped final step of an inexact span, drawn alone
         blocks.append((full_steps, n_steps, t_end - (t0 + full_steps * h)))
     mart = 0.0
-    b_acc = 0.0
     ri = 0
     # a diverging run overflows in numpy before the finiteness check names it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -497,16 +497,13 @@ def simulate(
                 if k == rec_rows[ri]:  # the last recorded row, n_steps, lies past the loop
                     xs[ri] = x
                     zs[ri] = z
-                    bs[ri] = b_acc
                     ri += 1
                 t = t0 + k * h
                 x, z, _, eta, d, anchor = advance(x, z, t, hk, dW)
-                if noisy:
-                    b_acc += eta * eta * sigma_sq(t) * hk
-                    if ito:
-                        etas.append(eta)
-                        ds.append(d)
-                        anchors.append(anchor)
+                if ito:
+                    etas.append(eta)
+                    ds.append(d)
+                    anchors.append(anchor)
 
                 # a sum is finite exactly when every coordinate is, short of
                 # overflow, whatever the order it adds them in
@@ -523,19 +520,20 @@ def simulate(
                 mart = running[-1]
     xs[ri] = x
     zs[ri] = z
-    bs[ri] = b_acc
     marts[ri] = mart
 
     gaps = objective.value(xs) - f_star
     energies = (energy_value(mmap, rates, dual_anchor, gaps, zs, times) if track_energy
                 else None)
+    # the step's eta: the averaged kinds' rate, 1 for md and smd
+    eta = rates.eta if spec.kind in AVERAGED_KINDS else CONSTANT_ONE
     return Trajectory(
         times=times,
         x=xs,
         z=zs,
         gap=gaps,
         energy=energies,
-        b=bs,
+        b=noise_integral(eta, spec.noise.sigma_star_power(), t0, times),
         martingale=marts if track_energy else None,
         h=h,
         record_stride=record_stride,

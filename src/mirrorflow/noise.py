@@ -30,12 +30,10 @@ class NoiseModel(ABC):
         """Diagonal of sigma(x, t); a scalar means a multiple of the identity."""
 
     @abstractmethod
-    def sigma_star_sq(self, t: float) -> float:
-        """sup over feasible x of the induced norm of sigma(x,t) sigma(x,t)^T."""
-
-    @abstractmethod
     def sigma_star_power(self) -> PowerLaw | None:
-        """sqrt(sigma_star_sq(t)) as a power law; None exactly for zero noise."""
+        """sigma_star(t), the square root of the sup over feasible x of the
+        induced norm of sigma(x,t) sigma(x,t)^T, as a power law; None
+        exactly for zero noise."""
 
     @property
     def is_zero(self) -> bool:
@@ -54,9 +52,6 @@ class ZeroNoise(NoiseModel):
     def diag(self, x, t):
         return 0.0
 
-    def sigma_star_sq(self, t: float) -> float:
-        return 0.0
-
     def sigma_star_power(self) -> None:
         return None
 
@@ -73,9 +68,6 @@ class ScalarPowerLawNoise(NoiseModel):
 
     def diag(self, x, t):
         return self.sigma0 * t**self.alpha
-
-    def sigma_star_sq(self, t: float) -> float:
-        return (self.sigma0 * t**self.alpha) ** 2
 
     def sigma_star_power(self) -> PowerLaw | None:
         return None if self.sigma0 == 0.0 else PowerLaw(self.sigma0, self.alpha)
@@ -98,9 +90,6 @@ class DiagonalPowerLawNoise(NoiseModel):
 
     def diag(self, x, t):
         return self.sigma0s * t**self.alphas
-
-    def sigma_star_sq(self, t: float) -> float:
-        return float(np.max((self.sigma0s * t**self.alphas) ** 2))
 
     def sigma_star_power(self) -> PowerLaw | None:
         s0 = float(self.sigma0s.max())
@@ -138,9 +127,6 @@ class StateScaledNoise(NoiseModel):
 
     def diag(self, x, t):
         return self.base.diag(x, t) * self._factor(x)
-
-    def sigma_star_sq(self, t: float) -> float:
-        return self.base.sigma_star_sq(t) * self._factor_sup**2
 
     def sigma_star_power(self) -> PowerLaw | None:
         base = self.base.sigma_star_power()

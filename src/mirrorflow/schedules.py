@@ -62,6 +62,21 @@ class PowerLaw:
 CONSTANT_ONE = PowerLaw(1.0, 0.0)
 
 
+def noise_integral(eta: PowerLaw, sigma_star: PowerLaw | None, t0: float, t,
+                   per: PowerLaw = CONSTANT_ONE):
+    """Closed-form integral over [t0, t] of eta^2 sigma_star^2 / per, at
+    one time t or at each of a sequence of times (an array); zero noise
+    (None) integrates to 0. The integrand law is built once per call, and
+    rounds as (eta^2 sigma_star^2) / per. With the default `per` this is
+    the accumulated noise strength b(t)."""
+    if sigma_star is None:
+        return 0.0 if np.ndim(t) == 0 else np.zeros(len(t))
+    law = eta.squared() * sigma_star.squared() / per
+    if np.ndim(t) == 0:
+        return law.integral(t0, t)
+    return np.array([law.integral(t0, float(u)) for u in t])
+
+
 @dataclass(frozen=True)
 class RateBundle:
     """The rate functions driving one accelerated run: dual learning rate

@@ -6,7 +6,6 @@ import pytest
 from mirrorflow import presets
 from mirrorflow.analysis import (
     apt_experiment,
-    b_and_envelope,
     covariation_check,
     detect_t2,
     ensemble,
@@ -21,7 +20,8 @@ from mirrorflow.dynamics import (SystemSpec, Trajectory, energy_anchor, energy_v
 from mirrorflow.errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from mirrorflow.noise import NoiseStream, ZeroNoise
 from mirrorflow.objectives import SumExp
-from mirrorflow.schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
+from mirrorflow.schedules import (CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle,
+                                  noise_integral)
 
 FIG_RATES = RateBundle(eta=CONSTANT_ONE, r=PowerLaw(1.0, 1.0), s=PowerLaw(1.0, 0.5))
 
@@ -214,19 +214,22 @@ class TestEnvelope:
         beta, alpha = 0.8, 0.1
         eta = PowerLaw(beta, beta - 1.0)
         sig = PowerLaw(1.0, alpha)
-        b, env = b_and_envelope(eta, sig, 1.0, 50.0)
+        b = noise_integral(eta, sig, 1.0, 50.0)
         p = 2 * beta + 2 * alpha - 1.0
         expected = beta**2 * (50.0**p - 1.0) / p
         assert b == pytest.approx(expected, rel=1e-12)
-        assert env == envelope(b)
+        # a sequence of times gives each time's value
+        np.testing.assert_array_equal(noise_integral(eta, sig, 1.0, [1.0, 50.0]), [0.0, b])
 
     def test_zero_noise_convention(self):
-        b, env = b_and_envelope(CONSTANT_ONE, None, 1.0, 10.0)
-        assert (b, env) == (0.0, 0.0)
+        assert noise_integral(CONSTANT_ONE, None, 1.0, 10.0) == 0.0
+        np.testing.assert_array_equal(noise_integral(CONSTANT_ONE, None, 1.0, [1.0, 10.0]),
+                                      [0.0, 0.0])
         assert envelope(0.0) == 0.0
 
     def test_unit_case(self):
-        b, env = b_and_envelope(CONSTANT_ONE, CONSTANT_ONE, 1.0, 101.0)
+        b = noise_integral(CONSTANT_ONE, CONSTANT_ONE, 1.0, 101.0)
+        env = envelope(b)
         assert b == pytest.approx(100.0)
         assert env == pytest.approx(math.sqrt(100.0 * math.log(math.log(100.0))), rel=1e-12)
         assert env == pytest.approx(12.3579, abs=2e-4)
@@ -273,31 +276,34 @@ class TestEnsemble:
 
     def test_oversized_ensemble_is_a_value_error(self, monkeypatch):
         # one run's 400,001 recorded rows fit the cap; 1000 of them held at
-        # once would take 23.8 GiB
+        # once would take 32.8 GiB
         def never(*args, **kwargs):
             raise AssertionError("a run started before the ensemble size was checked")
 
         monkeypatch.setattr("mirrorflow.analysis.simulate", never)
         spec, cert = presets.default_spec("samd", sigma0=0.1)
         with pytest.raises(ValueError, match=r"count = 1000 is too large: 1000 runs of "
-                                             r"400001 recorded rows .* 23.8 GiB"):
+                                             r"400001 recorded rows .* 32.8 GiB"):
             ensemble(spec, cert, t_end=5.0, h=1e-6, record_stride=10, count=1000,
                      base_seed=7)
 
     def test_csv_schema(self, tmp_path):
         spec, cert = presets.default_spec("samd", rates=FIG_RATES, sigma0=0.1)
-        stats, _ = ensemble(spec, cert, t_end=2.0, h=0.01, record_stride=10,
-                            count=3, base_seed=5)
+        stats, trajs = ensemble(spec, cert, t_end=2.0, h=0.01, record_stride=10,
+                                count=3, base_seed=5)
+        np.testing.assert_array_equal(stats.b, trajs[0].b)
         path = tmp_path / "ens.csv"
-        ensemble_to_csv(
-            stats, path,
-            eta=FIG_RATES.eta, sigma_star=PowerLaw(0.1, 0.0), t0=1.0,
-        )
+        ensemble_to_csv(stats, path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "t,mean_gap,std_gap,stderr_gap,mean_energy,std_energy,gap_bound,b,envelope"
         )
         assert len(lines) == stats.times.size + 1
+        # b and the envelope are blank at t0 and the run's b after it
+        cells = [line.split(",")[7:] for line in lines[1:]]
+        assert cells[0] == ["", ""]
+        assert [(float(b), float(env)) for b, env in cells[1:]] == [
+            (b, envelope(b)) for b in stats.b[1:].tolist()]
 
 
 class TestRateFit:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mirrorflow
-from mirrorflow.analysis import b_and_envelope
+from mirrorflow.analysis import envelope
 from mirrorflow.cli import main
 from mirrorflow.config import (
     ScenarioConfig,
@@ -21,7 +21,7 @@ from mirrorflow.config import (
     with_overrides,
 )
 from mirrorflow.errors import ParseError, ValidationError
-from mirrorflow.schedules import coupled_bundle
+from mirrorflow.schedules import coupled_bundle, noise_integral
 from mirrorflow.verify import CHECK_NAMES
 
 MINIMAL = """
@@ -299,7 +299,26 @@ class TestCli:
         spec, _ = build_spec(parse_config(cfg))
         power = spec.noise.sigma_star_power()
         for t, b, env in cells:
-            assert (b, env) == b_and_envelope(spec.rates.eta, power, spec.rates.t0, t)
+            assert b == noise_integral(spec.rates.eta, power, spec.rates.t0, t)
+            assert env == envelope(b)
+
+    def test_ensemble_and_trajectory_csvs_carry_one_b(self, tmp_path):
+        # eta = t^0 and sigma* = 0.1 t^0.25: a growing integrand, which a
+        # per-step sum of it would miss
+        cfg = tmp_path / "growing.cfg"
+        cfg.write_text(MINIMAL.replace("rates.alpha_r = auto", "rates.alpha_r = 1.0")
+                       + "noise.alpha_sigma = 0.25\n" + f"out = {tmp_path / 'run'}\n")
+        assert main(["ensemble", "--config", str(cfg)]) == 0
+
+        def b_cells(name):
+            lines = (tmp_path / "run" / name).read_text().splitlines()
+            column = lines[0].split(",").index("b")
+            return [line.split(",")[column] for line in lines[1:]]
+
+        ensemble_b, trajectory_b = b_cells("ensemble.csv"), b_cells("trajectory_000.csv")
+        assert ensemble_b[0] == "" and trajectory_b[0] == "0.0"
+        assert len(ensemble_b) == len(trajectory_b) > 2
+        assert ensemble_b[1:] == trajectory_b[1:]
 
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(mirrorflow.__file__).resolve().parents[1])
@@ -423,7 +442,7 @@ class TestCli:
         ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-12", [],
          "run.h = 1e-12 is too small: 4e+12 steps exceed the cap of 1e+09"),
         ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-8", [],
-         "run.h = 1e-08 is too small: 40000001 recorded rows of 3 coordinates take 2.38 GiB, "
+         "run.h = 1e-08 is too small: 40000001 recorded rows of 3 coordinates take 3.28 GiB, "
          "more than the cap of 1 GiB"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "rates"])
@@ -449,7 +468,7 @@ class TestCli:
         assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: ensemble.count = 1000 is too large: 1000 runs of 400001 "
-            "recorded rows of 3 coordinates take 23.8 GiB, more than the cap of 1 GiB"
+            "recorded rows of 3 coordinates take 32.8 GiB, more than the cap of 1 GiB"
         ]
         assert not (tmp_path / "run").exists()
 

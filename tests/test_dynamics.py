@@ -7,6 +7,7 @@ import pytest
 from mirrorflow import presets
 from mirrorflow.dynamics import (
     DETERMINISTIC_TWIN,
+    STOCHASTIC_KINDS,
     SystemSpec,
     averaged_iterate,
     bind_step,
@@ -22,7 +23,7 @@ from mirrorflow.noise import NoiseStream, ZeroNoise, make_noise
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
 from mirrorflow.verify import ZeroStream
-from test_kernel_reference import ref_step
+from test_kernel_reference import ref_b, ref_step
 
 FIG_RATES = RateBundle(eta=CONSTANT_ONE, r=PowerLaw(1.0, 1.0), s=PowerLaw(1.0, 0.5))
 
@@ -100,8 +101,8 @@ class TestSingleSteps:
             assert d == 0.1
             dmart = ito_increments([eta], [d], [anchor], x_star, dW[None])[0]
             assert dmart == pytest.approx(-0.1 * (spec.x0 - x_star) @ dW, abs=1e-15)
-            assert eta * eta * spec.noise.sigma_star_sq(t) * h == pytest.approx(0.1**2 * h,
-                                                                                rel=1e-14)
+            sigma_star = spec.noise.sigma_star_power().value(t)
+            assert eta * eta * sigma_star**2 * h == pytest.approx(0.1**2 * h, rel=1e-14)
         else:
             assert d == 0.0
 
@@ -204,18 +205,17 @@ class TestSimulateMatchesStepFunctions:
             replay = NoiseStream(42, 0)
             x = np.array(spec.x0, float)
             z = np.array(spec.z0, float)
-            mart = b = 0.0
+            mart = 0.0
             sq = math.sqrt(0.01)
             for k in range(7):
                 t = 1.0 + k * 0.01
                 dW = replay.standard_normals(3) * sq
-                x, z, _, dmart, db = ref_step(spec, x, z, t, 0.01, dW, cert.x_star)
+                x, z, _, dmart = ref_step(spec, x, z, t, 0.01, dW, cert.x_star)
                 mart += dmart
-                b += db
                 np.testing.assert_array_equal(traj.x[k + 1], x)
                 np.testing.assert_array_equal(traj.z[k + 1], z)
                 assert traj.martingale[k + 1] == mart
-                assert traj.b[k + 1] == b
+                assert traj.b[k + 1] == ref_b(spec, 1.0 + (k + 1) * 0.01)
 
 
     @pytest.mark.parametrize("noise_kind", ["scalar", "diagonal", "state-scaled"])
@@ -234,20 +234,19 @@ class TestSimulateMatchesStepFunctions:
         replay = NoiseStream(9, 2)
         x = np.array(spec.x0, float)
         z = np.array(spec.z0, float)
-        mart = b = 0.0
+        mart = 0.0
         for k in range(701):
             t = 1.0 + k * h
             hk = h if k < 700 else t_end - t
             dW = replay.standard_normals(3) * math.sqrt(hk)
-            x, z, _, dmart, db = ref_step(spec, x, z, t, hk, dW, cert.x_star)
+            x, z, _, dmart = ref_step(spec, x, z, t, hk, dW, cert.x_star)
             mart += dmart
-            b += db
             if (k + 1) % stride == 0 or k == 700:
                 row = (k + 1) // stride + (k == 700)
                 np.testing.assert_array_equal(traj.x[row], x)
                 np.testing.assert_array_equal(traj.z[row], z)
                 assert traj.martingale[row] == mart
-                assert traj.b[row] == b
+                assert traj.b[row] == ref_b(spec, 1.0 + (k + 1) * h if k < 700 else t_end)
         assert row == traj.n_recorded - 1
 
 
@@ -317,8 +316,22 @@ class TestTrajectoryContents:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.martingale[0] == 0.0
         assert traj.b[0] == 0.0
-        # b accumulates eta^2 sigma*^2 h = 0.01 * 0.01 per unit time here
-        assert traj.b[-1] == pytest.approx(0.01 * 1.0, rel=1e-6)
+        # b integrates eta^2 sigma*^2 = 0.01 in closed form over [1, 2]
+        assert traj.b[-1] == pytest.approx(0.01 * 1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("noise_kind", ["scalar", "diagonal", "state-scaled"])
+    @pytest.mark.parametrize("kind", STOCHASTIC_KINDS)
+    def test_b_is_the_closed_form_at_every_recorded_time(self, kind, noise_kind):
+        # eta = 1.5 t^0.5 for samd and sigma* ~ t^0.25, so a per-step sum
+        # of the integrand would miss the closed form by O(h)
+        rates = coupled_bundle(1.5, 0.5) if kind == "samd" else md_bundle(alpha_s=0.5)
+        spec, cert = presets.default_spec(kind, rates=rates, sigma0=0.2, alpha_sigma=0.25,
+                                          noise_kind=noise_kind)
+        traj = simulate(spec, cert, t_end=1.0 + 300.5 * 0.01, h=0.01, record_stride=7,
+                        stream=NoiseStream(3, 0))
+        assert traj.b[0] == 0.0 and traj.b[-1] > 0.0
+        for t, b in zip(traj.times.tolist(), traj.b.tolist()):
+            assert b == ref_b(spec, t)
 
     def test_simplex_feasibility_along_path(self):
         spec, cert = make_spec("samd", sigma0=0.3, rates=FIG_RATES)
@@ -457,7 +470,7 @@ class TestGuards:
                                             r"the cap of 1e\+09$"):
             simulate(spec, cert, t_end=5.0, h=1e-12)
         with pytest.raises(ValueError, match=r"^h = 1e-08 is too small: 400000001 recorded "
-                                            r"rows of 3 coordinates take 23.8 GiB, more than "
+                                            r"rows of 3 coordinates take 32.8 GiB, more than "
                                             r"the cap of 1 GiB$"):
             simulate(spec, cert, t_end=5.0, h=1e-8)
 

@@ -2,8 +2,9 @@
 replaced: the same Euler-Maruyama arithmetic, with a fresh
 `standard_normals(n) * sqrt(hk)` draw at every step, the objectives'
 gradients through `@`, the generic numpy reductions in the maps, the Ito
-integral's increment added at every step, and the energy's dual anchor
-recomputed at every recorded row. The two must agree bit for bit."""
+integral's increment added at every step, the energy's dual anchor
+recomputed at every recorded row, and b taken at every recorded row from
+the power-law algebra. The two must agree bit for bit."""
 
 import math
 
@@ -25,7 +26,7 @@ from mirrorflow.dynamics import (
 from mirrorflow.maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap
 from mirrorflow.noise import NoiseStream, make_noise
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
-from mirrorflow.schedules import coupled_bundle
+from mirrorflow.schedules import CONSTANT_ONE, coupled_bundle
 
 
 def ref_grad_psi_star(mmap, z):
@@ -64,11 +65,21 @@ def ref_energy(mmap, rates, z_star, gap, z, t):
     return rates.r.value(t) * gap + s_t * div
 
 
+def ref_b(spec, t):
+    """b(t) = integral of eta^2 sigma*^2 over [t0, t] in closed form, with
+    eta = 1 for the non-averaged kinds; zero without noise."""
+    sigma_star = spec.noise.sigma_star_power()
+    if sigma_star is None:
+        return 0.0
+    eta = spec.rates.eta if spec.kind in ("amd", "samd") else CONSTANT_ONE
+    return (eta.squared() * sigma_star.squared()).integral(spec.rates.t0, t)
+
+
 def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
     mmap, rates = spec.mmap, spec.rates
     averaged = spec.kind in ("amd", "samd")
     g = ref_gradient(spec.objective, x)
-    dmart = db = 0.0
+    dmart = 0.0
     if spec.kind == "nesterov":
         dz = hk * (-g - z * ((spec.beta + 1.0) / t))
     else:
@@ -81,7 +92,6 @@ def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
             dz = -eta * (hk * g + d * dW)
             if x_star is not None:
                 dmart = float((-eta * (d * (anchor - x_star))) @ dW)
-            db = eta * eta * spec.noise.sigma_star_sq(t) * hk
     z_new = ref_dual_projection(mmap, z + dz)
     if spec.kind == "nesterov":
         x_new = x + hk * z
@@ -89,7 +99,7 @@ def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
         x_new = x + (rates.a.value(t) * hk) * (anchor - x)
     else:
         x_new = ref_grad_psi_star(mmap, z_new / rates.s.value(t + hk))
-    return x_new, z_new, dz, dmart, db
+    return x_new, z_new, dz, dmart
 
 
 def ref_simulate(spec, cert, t_end, h, record_stride, stream):
@@ -107,7 +117,7 @@ def ref_simulate(spec, cert, t_end, h, record_stride, stream):
     else:
         z = np.array(spec.z0, dtype=float)
     out = {k: [] for k in ("x", "z", "gap", "energy", "b", "martingale")}
-    mart = b = 0.0
+    mart = 0.0
     for k in range(n_steps + 1):
         t = t0 + k * h if k < n_steps or exact else t_end
         if k in rows:
@@ -115,7 +125,7 @@ def ref_simulate(spec, cert, t_end, h, record_stride, stream):
             out["x"].append(x)
             out["z"].append(z)
             out["gap"].append(gap)
-            out["b"].append(b)
+            out["b"].append(ref_b(spec, t))
             if track:
                 out["energy"].append(ref_energy(mmap, rates, cert.z_star, gap, z, t))
                 out["martingale"].append(mart)
@@ -123,9 +133,8 @@ def ref_simulate(spec, cert, t_end, h, record_stride, stream):
             break
         hk = h if exact or k < n_steps - 1 else t_end - t
         dW = stream.standard_normals(n) * math.sqrt(hk) if spec.is_stochastic else None
-        x, z, _, dmart, db = ref_step(spec, x, z, t, hk, dW, x_star)
+        x, z, _, dmart = ref_step(spec, x, z, t, hk, dW, x_star)
         mart += dmart
-        b += db
     return {k: np.array(v) if v else None for k, v in out.items()}
 
 
@@ -252,7 +261,7 @@ def test_covariation_draws_the_per_step_sequence():
     increments = np.empty((steps, 3))
     for k in range(steps):
         dW = replay.standard_normals(3) * math.sqrt(h)
-        x, z, increments[k], _, _ = ref_step(spec, x, z, 1.0 + k * h, h, dW)
+        x, z, increments[k], _ = ref_step(spec, x, z, 1.0 + k * h, h, dW)
     empirical = np.cov(increments.T, ddof=1)
     off = empirical - np.diag(np.diag(empirical))
     assert off_max == float(np.abs(off).max())

@@ -25,7 +25,7 @@ class TestModels:
     def test_zero_model(self):
         model = ZeroNoise(3)
         assert model.is_zero
-        assert model.sigma_star_sq(10.0) == 0.0
+        assert model.sigma_star_power() is None
         assert model.diag(np.ones(3) / 3, 1.0) == 0.0
 
     def test_scalar_decay(self):
@@ -34,15 +34,16 @@ class TestModels:
 
     def test_sigma_star_sq_values(self):
         model = ScalarPowerLawNoise(0.1, 0.2, 3)
-        assert model.sigma_star_sq(10.0) == pytest.approx(0.01 * 10**0.4)
-        assert model.sigma_star_sq(10.0) == pytest.approx(0.02511886, abs=1e-7)
-        assert ZeroNoise(3).sigma_star_sq(10.0) == 0.0
+        assert model.sigma_star_power().value(10.0) ** 2 == pytest.approx(0.01 * 10**0.4)
+        assert model.sigma_star_power().value(10.0) ** 2 == pytest.approx(0.02511886, abs=1e-7)
+        assert ZeroNoise(3).sigma_star_power() is None
 
     def test_diagonal_equal_entries_matches_scalar(self):
         scalar = ScalarPowerLawNoise(0.2, 0.3, 4)
         diag = DiagonalPowerLawNoise(np.full(4, 0.2), np.full(4, 0.3))
         for t in (1.0, 7.0, 50.0):
-            assert diag.sigma_star_sq(t) == pytest.approx(scalar.sigma_star_sq(t))
+            assert diag.sigma_star_power().value(t) ** 2 == pytest.approx(
+                scalar.sigma_star_power().value(t) ** 2)
         p = diag.sigma_star_power()
         assert (p.coef, p.exponent) == (0.2, 0.3)
 
@@ -56,9 +57,9 @@ class TestModels:
         d = np.array([1.0, -1.0, 0.5])
         model = StateScaledNoise(base, direction=d, center=np.ones(3) / 3, mmap=simplex3)
         for t in (1.0, 10.0):
-            bound = model.sigma_star_sq(t)
+            bound = model.sigma_star_power().value(t) ** 2
             # exact: the factor peaks at the vertex e_0, where <d, x - c> = 1 - 1/6
-            peak = base.sigma_star_sq(t) * (1 + 0.5 * math.tanh(5 / 6)) ** 2
+            peak = base.sigma_star_power().value(t) ** 2 * (1 + 0.5 * math.tanh(5 / 6)) ** 2
             assert bound == pytest.approx(peak, rel=1e-12)
             assert bound == pytest.approx(float(model.diag(np.eye(3)[0], t)) ** 2, rel=1e-12)
             for x in rng.dirichlet(np.ones(3), size=1000):
