@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_TWIN, SystemSpec, Trajectory, bind_step,
-                       check_run, nearest_index, noise_blocks, simulate, step_increments,
-                       write_csv)
+from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_TWIN, SystemSpec, Trajectory, check_run,
+                       nearest_index, simulate, write_csv)
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
 from .noise import NoiseStream, StateScaledNoise, ZeroNoise
 from .objectives import MinimizerCertificate
@@ -242,17 +241,20 @@ def martingale_envelope_check(
     return within / len(trajectories)
 
 
-def covariation_check(spec: SystemSpec, steps: int, h: float, stream: NoiseStream):
-    """Empirical covariance of the raw dual increments against the
-    theoretical eta^2 Sigma h over `steps` steps.
+def covariation_check(spec: SystemSpec, certificate: MinimizerCertificate, steps: int,
+                      h: float, stream: NoiseStream):
+    """Empirical covariance of the dual increments of one stride-1 run of
+    `steps` steps against the theoretical eta^2 sigma0^2 h P.
 
-    Raw increments (the step's dz) are taken before the stabilizing
-    dual projection (the projection removes the mean component and would
-    otherwise distort the covariance without affecting the primal path).
-    Requires a constant learning rate and a scalar model that depends on
-    neither time nor state, so the target is a single matrix.
+    P is the map's dual projection (I - 11^T/n on the simplex, I on the
+    euclidean map): the run projects its dual after every step, so each
+    recorded increment is P dz, with covariance P (eta^2 sigma0^2 h I) P =
+    eta^2 sigma0^2 h P. The start is measured from its projection, which has
+    the same conjugate gradient. Requires a constant learning rate and a
+    scalar model that depends on neither time nor state, so the target is a
+    single matrix; the model is checked before any draw.
 
-    Returns (max relative diagonal error, max absolute off-diagonal,
+    Returns (max relative diagonal error, max absolute off-diagonal error,
     off-diagonal band 4 * eta^2 sigma0^2 h / sqrt(steps), target matrix).
     """
     rates = spec.rates
@@ -263,40 +265,28 @@ def covariation_check(spec: SystemSpec, steps: int, h: float, stream: NoiseStrea
     else:
         eta0 = 1.0
     noise = spec.noise
-    x = np.array(spec.x0, float)
-    z = np.array(spec.z0, float)
-    n = spec.mmap.dim
+    x0 = np.array(spec.x0, float)
     t0 = rates.t0
-    d0 = noise.diag(x, t0)
+    d0 = noise.diag(x0, t0)
     if not np.isscalar(d0):
         raise ValueError("scalar noise required for a constant target")
     if isinstance(noise, StateScaledNoise):
         raise ValueError("state-independent noise required for a constant target")
-    if not noise.is_zero and abs(noise.diag(x, t0 + 1.0) - d0) > 1e-12 * abs(d0):
+    if not noise.is_zero and abs(noise.diag(x0, t0 + 1.0) - d0) > 1e-12 * abs(d0):
         raise ValueError("time-constant noise required for a constant target")
-    target = (eta0**2) * (float(d0) ** 2) * h * np.eye(n)
+    _, project = spec.mmap.point_functions()
+    scale = (eta0**2) * (float(d0) ** 2) * h
+    target = scale * np.array([project(row) for row in np.eye(spec.mmap.dim).tolist()])
 
-    advance = bind_step(spec)
-    increments = np.empty((steps, n))
-    x, z = x.tolist(), z.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in noise_blocks(steps):
-            _, draws = step_increments(stream if spec.is_stochastic else None, n,
-                                       stop - start, h)
-            for k, dW in zip(range(start, stop), draws):
-                x, z, increments[k], _, _, _ = advance(x, z, t0 + k * h, h, dW)
-
-    empirical = np.cov(increments.T, ddof=1)
+    zs = simulate(spec, certificate, t0 + steps * h, h, stream=stream).z
+    zs[0] = project(zs[0].tolist())
+    error = np.cov(np.diff(zs, axis=0).T, ddof=1) - target
+    diag_err = float(np.abs(np.diag(error)).max())
+    off_err = float(np.abs(error - np.diag(np.diag(error))).max())
     if noise.is_zero:
-        diag_err = float(np.abs(np.diag(empirical)).max())
-        off = empirical - np.diag(np.diag(empirical))
-        return diag_err, float(np.abs(off).max()), 0.0, target
-    diag_err = float(
-        np.abs(np.diag(empirical) - np.diag(target)).max() / np.diag(target).max()
-    )
-    off = empirical - np.diag(np.diag(empirical))
-    band = 4.0 * (eta0**2) * (float(d0) ** 2) * h / math.sqrt(steps)
-    return diag_err, float(np.abs(off).max()), band, target
+        return diag_err, off_err, 0.0, target
+    return (diag_err / np.diag(target).max(), off_err, 4.0 * scale / math.sqrt(steps),
+            target)
 
 
 # ---------------------------------------------------------------------------

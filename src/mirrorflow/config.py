@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_KINDS, SYSTEM_KINDS, SystemSpec, md_bundle,
-                       nesterov_bundle, noise_for, run_size_error, step_fits_span, step_guard)
+from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_KINDS, STOCHASTIC_KINDS, SYSTEM_KINDS,
+                       SystemSpec, md_bundle, nesterov_bundle, noise_for, run_size_error,
+                       step_fits_span, step_guard)
 from .errors import ParseError, ValidationError
 from .maps import make_map
 from .objectives import MinimizerCertificate, make_objective, solve_minimizer
@@ -287,14 +288,86 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             )
         elif cfg.alpha_r != "auto" and cfg.alpha_r <= 0:
             bad.append("rates.alpha_r must be positive")
-        # the bundle is built only from an otherwise valid configuration
-        if not bad:
-            rates = build_rates(cfg)
-            bad += check_admissible(rates, horizon=cfg.t_end).failures()
-            too_large = step_guard(rates, cfg.h, cfg.t_end)
-            if too_large is not None:
-                bad.append(too_large)
+    # the laws are checked, and the bundle built, only from an otherwise valid configuration
+    if not bad:
+        bad += _law_violations(cfg)
+    if not bad and cfg.system_kind in AVERAGED_KINDS:
+        rates = build_rates(cfg)
+        bad += check_admissible(rates, horizon=cfg.t_end).failures()
+        too_large = step_guard(rates, cfg.h, cfg.t_end)
+        if too_large is not None:
+            bad.append(too_large)
     return bad
+
+
+#: the power laws a run evaluates must stay between e^-LAW_LOG_LIMIT and
+#: e^LAW_LOG_LIMIT (about 1e-304 to 1e304, inside the normal floats)
+LAW_LOG_LIMIT = 700.0
+
+
+class _LogLaw(NamedTuple):
+    """coef * t**exponent as log(coef) and the exponent, with the keys that
+    set it: products and powers of laws that cannot overflow."""
+
+    log_coef: float
+    exponent: float
+    keys: tuple
+
+    def times(self, other: "_LogLaw", power: float = 1.0) -> "_LogLaw":
+        """This law times other**power."""
+        return _LogLaw(self.log_coef + power * other.log_coef,
+                       self.exponent + power * other.exponent,
+                       tuple(dict.fromkeys(self.keys + other.keys)))
+
+
+_ONE = _LogLaw(0.0, 0.0, ())
+
+
+def _rate_laws(cfg: ScenarioConfig) -> tuple[_LogLaw, _LogLaw, _LogLaw]:
+    """eta, r and s of `build_rates(cfg)` as log laws; eta is the step's
+    rate, 1 for md/smd."""
+    if cfg.system_kind == "nesterov":  # eta = t / beta, r = t^2 / beta^2, s = 1
+        inverse_beta = _LogLaw(-math.log(cfg.beta), 1.0, ("rates.beta",))
+        return inverse_beta, inverse_beta.times(inverse_beta), _ONE
+    s = _LogLaw(0.0, cfg.alpha_s, ("rates.alpha_s",))
+    if cfg.system_kind not in AVERAGED_KINDS:
+        return _ONE, _ONE, s
+    alpha_r = cfg.resolved_alpha_r()
+    alpha_r_keys = ("rates.alpha_r",) + (("rates.alpha_s", "noise.alpha_sigma")
+                                         if cfg.alpha_r == "auto" else ())
+    r = _LogLaw(math.log(cfg.r_coef), alpha_r, ("rates.r_coef", *alpha_r_keys))
+    if cfg.eta_mode == "coupled":  # eta = r'
+        eta = _LogLaw(r.log_coef + math.log(alpha_r), alpha_r - 1.0, r.keys)
+    else:
+        eta = _LogLaw(math.log(cfg.eta_coef), cfg.eta_exponent,
+                      ("rates.eta_coef", "rates.eta_exponent"))
+    return eta, r, s
+
+
+def _law_violations(cfg: ScenarioConfig) -> list[str]:
+    """The first law of the run that leaves the range e^+-LAW_LOG_LIMIT at
+    t0 or t_end, naming the keys that set it, or nothing. The laws: eta^2
+    (and so eta), r, s, a, and with noise sigma*^2 and the integrand
+    eta^2 sigma*^2 of b. The coefficient, t**exponent and their product are
+    each checked, as Python computes them apart. Power laws are monotone,
+    so the two endpoints bound every step time; the state-scaled noise
+    factor, at most 3/2, stays inside the margin."""
+    eta, r, s = _rate_laws(cfg)
+    eta_sq = eta.times(eta)
+    laws = {"eta^2": eta_sq, "r": r, "s": s, "a = eta / r": eta.times(r, -1.0)}
+    if cfg.system_kind in STOCHASTIC_KINDS and cfg.noise_kind != "zero" and cfg.sigma0 > 0:
+        sigma_sq = _LogLaw(2.0 * math.log(cfg.sigma0), 2.0 * cfg.alpha_sigma,
+                           ("noise.sigma0", "noise.alpha_sigma"))
+        laws.update({"sigma*^2": sigma_sq, "eta^2 sigma*^2": eta_sq.times(sigma_sq)})
+    for name, law in laws.items():
+        for key, t in (("run.t0", cfg.t0), ("run.t_end", cfg.t_end)):
+            power = law.exponent * math.log(t)
+            if not all(abs(v) <= LAW_LOG_LIMIT for v in (law.log_coef, power,
+                                                          law.log_coef + power)):
+                keys = law.keys + ((key,) if law.exponent else ())
+                return [f"{name} leaves the floating-point range at t = {t:g}; "
+                        f"set by {', '.join(keys)}"]
+    return []
 
 
 def check_ensemble_size(cfg: ScenarioConfig) -> None:

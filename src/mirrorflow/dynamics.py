@@ -157,17 +157,16 @@ def _law_closure(law: PowerLaw):
 
 def bind_step(spec: SystemSpec):
     """The step of `spec`'s flow with its objective, map, rates and noise
-    bound once: advance(x, z, t, hk, dW) -> (x_new, z_new, dz, eta, d, anchor).
+    bound once: advance(x, z, t, hk, dW) -> (x_new, z_new, eta, d, anchor).
 
     It takes one step of length hk from time t, using only time-t quantities
     on the right-hand side; ``z`` holds the velocity for the oscillator and
     ``dW`` is the Wiener increment (None: no noise arithmetic). md/smd are
     the averaged systems' dual update with eta = 1; only the primal update
     and the oscillator's velocity form differ per kind. Besides the new
-    state and the raw dual increment before the dual projection, it returns
-    what the Ito integral's increment needs (see `ito_increments`): eta,
-    sigma's diagonal d and the anchor, the time-t mirror point (x itself for
-    md/smd).
+    state, with the dual already projected, it returns what the Ito
+    integral's increment needs (see `ito_increments`): eta, sigma's diagonal
+    d and the anchor, the time-t mirror point (x itself for md/smd).
 
     States, increments and the anchor are lists of Python floats, whose
     arithmetic rounds as numpy's elementwise operations do; numpy computes
@@ -197,7 +196,7 @@ def bind_step(spec: SystemSpec):
             damping = friction / t
             dz = [hk * (-g - v * damping) for g, v in zip(gradient(x).tolist(), z)]
             return ([u + hk * v for u, v in zip(x, z)], project([v + dv for v, dv in zip(z, dz)]),
-                    dz, 0.0, 0.0, x)
+                    0.0, 0.0, x)
 
         return advance
 
@@ -227,7 +226,7 @@ def bind_step(spec: SystemSpec):
             x_new = [u + pull * (m - u) for u, m in zip(x, anchor)]
         else:
             x_new = mirror_at(z_new, t + hk)
-        return x_new, z_new, dz, eta, d, anchor
+        return x_new, z_new, eta, d, anchor
 
     return advance
 
@@ -243,28 +242,6 @@ def ito_increments(etas, ds, anchors, x_star: np.ndarray, dW: np.ndarray) -> np.
     neg_eta = -np.array(etas)[:, None]
     d = np.array(ds).reshape(rows, -1)
     return row_dot(neg_eta * (d * (np.array(anchors) - x_star)), dW)
-
-
-def step_increments(stream: NoiseStream | None, n: int, rows: int, hk: float):
-    """(block, per_step): the Wiener increments of n coordinates over `rows`
-    steps of length hk, in one (rows, n) draw, and the same numbers as one
-    list per step for the step's float arithmetic. The stream gives the same
-    numbers whatever the block size, so these are the increments of per-step
-    `stream.standard_normals(n) * sqrt(hk)` draws, and the stream ends at
-    the same position. Any object with `standard_normals(count)` and
-    `position` serves as the stream. Without a stream (no noise), None and
-    `rows` Nones."""
-    if stream is None:
-        return None, itertools.repeat(None, rows)
-    block = stream.standard_normals(n * rows).reshape(rows, n) * math.sqrt(hk)
-    return block, block.tolist()
-
-
-def noise_blocks(steps: int) -> list[tuple[int, int]]:
-    """The (start, stop) step ranges of `steps` equal steps, NOISE_BLOCK_ROWS
-    steps at a time: the steps whose increments one call draws."""
-    return [(start, min(start + NOISE_BLOCK_ROWS, steps))
-            for start in range(0, steps, NOISE_BLOCK_ROWS)]
 
 
 @dataclass
@@ -433,8 +410,9 @@ def simulate(
         z* for the energy and the noise-projection integrand.
     t_end, h : horizon and step size (final step clipped onto t_end).
     record_stride : record every this-many steps (plus the final state).
-    stream : per-trajectory Gaussian increment source; required for
-        stochastic runs with a non-zero noise model. A completed run leaves
+    stream : per-trajectory Gaussian increment source (any object with
+        `standard_normals(count)` and `position`); required for stochastic
+        runs with a non-zero noise model. A completed run leaves
         it at position n * steps; one that raises may have drawn further.
 
     Returns
@@ -482,7 +460,13 @@ def simulate(
 
     advance = bind_step(spec)
     ito = noisy and track_energy
-    blocks = [(start, stop, h) for start, stop in noise_blocks(full_steps)]
+    # (start, stop, hk): the steps whose Wiener increments one (rows, n) draw
+    # gives, NOISE_BLOCK_ROWS steps at a time. The stream gives the same
+    # numbers whatever the block size, so a block draw gives the per-step
+    # `standard_normals(n) * sqrt(hk)` increments and leaves the stream where
+    # per-step draws would.
+    blocks = [(start, min(start + NOISE_BLOCK_ROWS, full_steps), h)
+              for start in range(0, full_steps, NOISE_BLOCK_ROWS)]
     if not exact_span:  # the clipped final step of an inexact span, drawn alone
         blocks.append((full_steps, n_steps, t_end - (t0 + full_steps * h)))
     mart = 0.0
@@ -490,7 +474,12 @@ def simulate(
     # a diverging run overflows in numpy before the finiteness check names it
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop, hk in blocks:
-            block, dWs = step_increments(stream if noisy else None, n, stop - start, hk)
+            rows = stop - start
+            if noisy:
+                block = stream.standard_normals(n * rows).reshape(rows, n) * math.sqrt(hk)
+                dWs = block.tolist()
+            else:
+                dWs = itertools.repeat(None, rows)
             ri_block = ri
             etas, ds, anchors = [], [], []
             for k, dW in zip(range(start, stop), dWs):
@@ -499,7 +488,7 @@ def simulate(
                     zs[ri] = z
                     ri += 1
                 t = t0 + k * h
-                x, z, _, eta, d, anchor = advance(x, z, t, hk, dW)
+                x, z, eta, d, anchor = advance(x, z, t, hk, dW)
                 if ito:
                     etas.append(eta)
                     ds.append(d)
@@ -542,15 +531,20 @@ def simulate(
     )
 
 
+def _cumulative_trapezoid(ts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The integral of the rows of y over the times ts, from ts[0] to each
+    time, by the trapezoid rule: one row per time, the first one zero."""
+    dt = np.diff(ts)[:, None]
+    return np.vstack([np.zeros(y.shape[1]), np.cumsum(0.5 * dt * (y[1:] + y[:-1]), axis=0)])
+
+
 def averaged_iterate(traj: Trajectory) -> np.ndarray:
     """Running time-average of the primal trajectory on the recorded grid,
     by cumulative trapezoid; the first entry is the initial state."""
     if traj.n_recorded < 2:
         raise ValueError("need at least two recorded times")
     ts = traj.times
-    dt = np.diff(ts)[:, None]
-    chunks = 0.5 * dt * (traj.x[1:] + traj.x[:-1])
-    integral = np.vstack([np.zeros(traj.x.shape[1]), np.cumsum(chunks, axis=0)])
+    integral = _cumulative_trapezoid(ts, traj.x)
     out = np.empty_like(traj.x)
     out[0] = traj.x[0]
     out[1:] = integral[1:] / (ts[1:, None] - ts[0])
@@ -573,10 +567,6 @@ def primal_average_residual(traj: Trajectory) -> float:
     mirrors = mmap.grad_psi_star(traj.z / s[:, None])
     w = np.array([averaging_weight(rates.a, rates.t0, t) for t in ts])
     wdot = np.array([rates.a.value(t) for t in ts]) * w
-    integrand = wdot[:, None] * mirrors
-    dt = np.diff(ts)[:, None]
-    integral = np.vstack(
-        [np.zeros(mirrors.shape[1]), np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]), axis=0)]
-    )
+    integral = _cumulative_trapezoid(ts, wdot[:, None] * mirrors)
     reconstructed = (traj.x[0] + integral) / w[:, None]
     return float(np.abs(traj.x - reconstructed).max())

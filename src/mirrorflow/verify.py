@@ -222,12 +222,13 @@ class Verifier:
         )
 
     def check_covariation(self) -> CheckResult:
-        """Raw dual-increment covariance over 10^4 steps against
-        eta^2 sigma0^2 h I: diagonal within 10 percent, off-diagonals inside
+        """Covariance of the projected dual increments of one 10^4-step run
+        against eta^2 sigma0^2 h P, with P = I - 11^T/n the simplex's dual
+        projection: diagonal within 10 percent, off-diagonal errors inside
         the 4-sigma sampling band."""
-        spec, _ = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
+        spec, cert = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
         diag_err, off_max, band, _ = covariation_check(
-            spec, steps=10_000, h=1e-4, stream=NoiseStream(self.base_seed, 0)
+            spec, cert, steps=10_000, h=1e-4, stream=NoiseStream(self.base_seed, 0)
         )
         passed = diag_err < 0.10 and off_max < band
         return CheckResult(

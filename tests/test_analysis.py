@@ -15,11 +15,11 @@ from mirrorflow.analysis import (
     fit_rate_exponent,
     martingale_envelope_check,
 )
-from mirrorflow.dynamics import (SystemSpec, Trajectory, energy_anchor, energy_value,
+from mirrorflow.dynamics import (SystemSpec, Trajectory, energy_anchor, energy_value, md_bundle,
                                 nearest_index, simulate)
 from mirrorflow.errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
-from mirrorflow.noise import NoiseStream, ZeroNoise
-from mirrorflow.objectives import SumExp
+from mirrorflow.noise import NoiseStream, ZeroNoise, make_noise
+from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import (CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle,
                                   noise_integral)
 
@@ -349,43 +349,62 @@ class TestMartingaleEnvelope:
 
 class TestCovariation:
     def test_matches_theory(self):
-        spec, _ = presets.default_spec(
+        spec, cert = presets.default_spec(
             "samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1
         )
         diag_err, off_max, band, target = covariation_check(
-            spec, steps=10_000, h=1e-4, stream=NoiseStream(77, 0)
+            spec, cert, steps=10_000, h=1e-4, stream=NoiseStream(77, 0)
         )
-        assert np.allclose(np.diag(target), 0.1**2 * 1e-4)
+        # the simplex's dual projection I - 11^T/3
+        np.testing.assert_allclose(target, 0.1**2 * 1e-4 * (np.eye(3) - 1.0 / 3.0), rtol=1e-15)
+        assert diag_err < 0.10
+        assert off_max < band
+
+    def test_euclidean_target_is_the_identity(self, euclid2):
+        # the euclidean map projects nothing: P = I, and the target is sigma0^2 h I
+        objective = Rank1Quadratic(np.array([0.6, 0.8]))
+        x_star = np.zeros(2)
+        cert = MinimizerCertificate(x_star=x_star, f_star=objective.value(x_star),
+                                    z_star=x_star, boundary=False, residual=0.0, method="exact")
+        spec = SystemSpec(kind="smd", mmap=euclid2, objective=objective, rates=md_bundle(),
+                          noise=make_noise("scalar", 0.1, 0.0, euclid2),
+                          x0=np.array([1.0, -1.0]), z0=np.array([1.0, -1.0]))
+        stream = NoiseStream(77, 0)
+        diag_err, off_max, band, target = covariation_check(
+            spec, cert, steps=10_000, h=1e-4, stream=stream
+        )
+        assert stream.position == 2 * 10_000
+        np.testing.assert_array_equal(target, 0.1**2 * 1e-4 * np.eye(2))
         assert diag_err < 0.10
         assert off_max < band
 
     def test_zero_noise_exact(self):
-        spec, _ = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.0)
+        spec, cert = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.0)
         diag_err, off_max, band, _ = covariation_check(
-            spec, steps=500, h=1e-4, stream=NoiseStream(77, 0)
+            spec, cert, steps=500, h=1e-4, stream=NoiseStream(77, 0)
         )
         # only the slowly varying drift contributes; orders below the noise target
         assert diag_err < 1e-12
         assert off_max < 1e-12
 
     def test_requires_constant_eta(self):
-        spec, _ = presets.default_spec("samd", rates=coupled_bundle(2.0, 0.5), sigma0=0.1)
+        spec, cert = presets.default_spec("samd", rates=coupled_bundle(2.0, 0.5), sigma0=0.1)
         with pytest.raises(ValueError, match="constant learning rate"):
-            covariation_check(spec, steps=100, h=1e-4, stream=NoiseStream(1, 0))
+            covariation_check(spec, cert, steps=100, h=1e-4, stream=NoiseStream(1, 0))
 
     def test_requires_time_constant_noise(self):
-        spec, _ = presets.default_spec(
+        spec, cert = presets.default_spec(
             "samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1, alpha_sigma=-0.5
         )
         with pytest.raises(ValueError, match="time-constant"):
-            covariation_check(spec, steps=100, h=1e-4, stream=NoiseStream(1, 0))
+            covariation_check(spec, cert, steps=100, h=1e-4, stream=NoiseStream(1, 0))
 
     def test_requires_state_independent_noise(self):
         # sigma(x0) is no target for a volatility that moves with the state
-        spec, _ = presets.default_spec("samd", sigma0=0.1, noise_kind="state-scaled")
+        spec, cert = presets.default_spec("samd", sigma0=0.1, noise_kind="state-scaled")
         stream = NoiseStream(7, 0)
         with pytest.raises(ValueError, match="state-independent"):
-            covariation_check(spec, steps=2000, h=1e-3, stream=stream)
+            covariation_check(spec, cert, steps=2000, h=1e-3, stream=stream)
         assert stream.position == 0
 
 

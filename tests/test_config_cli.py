@@ -444,6 +444,16 @@ class TestCli:
         ("system.kind = md\nnoise.sigma0 = 0.0\nrun.t_end = 5.0\nrun.h = 1e-8", [],
          "run.h = 1e-08 is too small: 40000001 recorded rows of 3 coordinates take 3.28 GiB, "
          "more than the cap of 1 GiB"),
+        # power laws that overflow or underflow in the run's floating-point arithmetic
+        ("rates.alpha_r = 400\nrun.t_end = 10.0", [],
+         "eta^2 leaves the floating-point range at t = 10; set by rates.r_coef, rates.alpha_r, "
+         "run.t_end"),
+        ("rates.r_coef = 1e-170", [],
+         "eta^2 leaves the floating-point range at t = 1; set by rates.r_coef, rates.alpha_r, "
+         "rates.alpha_s, noise.alpha_sigma"),
+        ("system.kind = smd\nnoise.alpha_sigma = 2000", [],
+         "sigma*^2 leaves the floating-point range at t = 5; set by noise.sigma0, "
+         "noise.alpha_sigma, run.t_end"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "rates"])
     def test_bad_input_is_named_by_key(self, tmp_path, capsys, command, lines, flags, message):

@@ -248,22 +248,22 @@ def test_samd_on_either_side_of_the_pairwise_sum(n, geometry, noise_kind):
 def test_covariation_draws_the_per_step_sequence():
     """The blocked draws of `covariation_check` cross several block
     boundaries and end on a partial block, yet give the numbers of per-step
-    draws and leave the stream where per-step draws would."""
-    spec, _ = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
+    draws and leave the stream where per-step draws would: its errors are
+    those of the projected increments of the reference z sequence."""
+    spec, cert = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
     steps, h = 1000 + 37, 1e-3
     stream = NoiseStream(3, 0)
-    diag_err, off_max, _, target = covariation_check(spec, steps, h, stream)
+    diag_err, off_max, _, target = covariation_check(spec, cert, steps, h, stream)
     assert stream.position == 3 * steps
 
     replay = NoiseStream(3, 0)
     x = np.array(spec.x0, float)
     z = np.array(spec.z0, float)
-    increments = np.empty((steps, 3))
+    zs = [z]
     for k in range(steps):
         dW = replay.standard_normals(3) * math.sqrt(h)
-        x, z, increments[k], _ = ref_step(spec, x, z, 1.0 + k * h, h, dW)
-    empirical = np.cov(increments.T, ddof=1)
-    off = empirical - np.diag(np.diag(empirical))
-    assert off_max == float(np.abs(off).max())
-    assert diag_err == float(
-        np.abs(np.diag(empirical) - np.diag(target)).max() / np.diag(target).max())
+        x, z, _, _ = ref_step(spec, x, z, 1.0 + k * h, h, dW)
+        zs.append(z)
+    error = np.cov(np.diff(zs, axis=0).T, ddof=1) - target
+    assert off_max == float(np.abs(error - np.diag(np.diag(error))).max())
+    assert diag_err == float(np.abs(np.diag(error)).max() / np.diag(target).max())

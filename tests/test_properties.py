@@ -1,17 +1,23 @@
 """Property-based checks: the scenario text round trip, the agreement
-between configuration admission and what the integrator accepts, the
+between configuration admission and what the integrator accepts, scenarios
+with extreme values ending in one error line and not a traceback, the
 power-law form and exactness of every noise model's volatility bound, the
 entropic map's identities at extreme dual magnitudes, stacked evaluation
 equal to row-by-row evaluation, and the step's list arithmetic equal to the
 array methods."""
 
+import contextlib
+import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mirrorflow.cli import main
 from mirrorflow.config import (
     ETA_CHOICES,
     MIRROR_CHOICES,
@@ -79,7 +85,8 @@ def valid_configs(draw):
         r_coef=draw(finite(0.1, 5.0)),
         beta=draw(finite(2.0, 6.0)),
         noise_kind=draw(st.sampled_from(NOISE_CHOICES)) if stochastic else "zero",
-        sigma0=draw(finite(0.0, 1.0)) if stochastic else 0.0,
+        # sigma0^2 must stay a normal float, so a positive sigma0 is not tiny
+        sigma0=draw(st.one_of(st.just(0.0), finite(1e-6, 1.0))) if stochastic else 0.0,
         alpha_sigma=alpha_sigma,
         t0=t0,
         t_end=t0 + span,
@@ -153,6 +160,74 @@ def test_rate_strategy_reaches_both_verdicts():
 
     collect()
     assert verdicts == {True, False}
+
+
+#: per key, ordinary values and extremes: zero, negative, tiny, huge, unknown words
+EDGE_VALUES = {
+    "system.kind": ["md", "smd", "amd", "samd", "nesterov", "sgd"],
+    "objective.kind": ["sum-exp", "rank1-quadratic", "lasso"],
+    "objective.source": ["default", "face", "inline", "file"],
+    "objective.dim": ["1", "2", "3", "0", "-1", "1000000000000"],
+    "mirror.kind": ["entropic-simplex", "euclidean", "sphere"],
+    "rates.alpha_r": ["auto", "0.5", "1.0", "0", "-1", "400", "1e-300", "1e300"],
+    "rates.alpha_s": ["0.0", "0.5", "-1", "400", "1e9", "1e-300"],
+    "rates.eta": ["coupled", "explicit", "eta"],
+    "rates.eta_coef": ["1.0", "0", "-1", "1e-170", "1e300"],
+    "rates.eta_exponent": ["0.0", "1.0", "-400", "400", "1e300"],
+    "rates.r_coef": ["1.0", "0", "-1", "1e-170", "1e-320", "1e300"],
+    "rates.beta": ["2.0", "3.0", "1.0", "1e300"],
+    "noise.kind": ["zero", "scalar", "diagonal", "state-scaled", "pink"],
+    "noise.sigma0": ["0.0", "0.1", "-1", "1e-170", "1e-320", "1e300"],
+    "noise.alpha_sigma": ["0.0", "0.25", "0.5", "-0.5", "2000", "-2000"],
+    "run.record_stride": ["1", "10", "0", "-1", "1000000000"],
+    "seed": ["0", "7", "-1", str(2**64)],
+    "sweep.alpha_sigma": ["", "0.0", "0.2 0.0", "0.5", "2000 -2000"],
+    "sweep.alpha_s": ["", "0.5", "0.0 1e9", "-1"],
+    "sweep.alpha_r": ["", "auto", "auto-0.2 auto+0.2", "auto-2.0", "400", "1e300", "x"],
+}
+COMMANDS = ["simulate", "ensemble", "rates", "compare"]
+
+
+def mostly(ordinary, extremes):
+    """One of the ordinary values about four times in five, else an extreme."""
+    return st.integers(0, 99).flatmap(lambda i: st.sampled_from(ordinary if i < 80 else extremes))
+
+
+@st.composite
+def edge_scenarios(draw):
+    """Scenario text that sets a few keys to ordinary or extreme values. Runs
+    stay small: t_end is at most t0 + 11, h at least 0.05 and the count at
+    most 3, unless they hold extremes the configuration refuses."""
+    lines = [f"{key} = {draw(st.sampled_from(values))}"
+             for key, values in EDGE_VALUES.items() if draw(mostly([False], [True]))]
+    if draw(mostly([False], [True])):
+        dim = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.sampled_from([0.0, 1.0, -2.0, 30.0, 1e300]),
+                                      min_size=dim, max_size=dim), min_size=1, max_size=2))
+        lines.append("objective.c = " + " ; ".join(" ".join(map(repr, row)) for row in rows))
+    t0 = draw(mostly([1.0, 0.5], [0.0, -1.0, 1e-300, 1e15]))
+    span = draw(mostly([11.0, 2.0], [1e-9, 0.0, -1.0]))
+    h = draw(mostly(["0.05", "0.5"], ["20", "0", "-1", "1e-300", "1e-320"]))
+    count = draw(mostly(["3", "1"], ["0", "-1", "1000000000000"]))
+    lines += [f"run.t0 = {t0!r}", f"run.t_end = {t0 + span!r}", f"run.h = {h}",
+              f"ensemble.count = {count}"]
+    return "\n".join(lines) + "\n"
+
+
+@given(edge_scenarios(), st.sampled_from(COMMANDS))
+def test_no_scenario_ends_in_a_traceback(text, command):
+    """Every scenario ends in a result, or in one error line and exit 1 or 2;
+    no exception escapes `main`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.cfg"
+        path.write_text(text + f"out = {Path(tmp) / 'run'}\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2)
+    errors = [line for line in stderr.getvalue().splitlines()
+              if line.startswith(("error:", "configuration error:"))]
+    assert len(errors) <= 1
 
 
 amplitudes = st.one_of(st.just(0.0), finite(1e-6, 10.0))
