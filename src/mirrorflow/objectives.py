@@ -19,9 +19,6 @@ from .errors import NoConvergence
 from .maps import (INTERIOR_THRESHOLD, EntropicSimplexMap, EuclideanMap, MirrorMap, row_dot,
                    softmax_point)
 
-GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
-
-
 def _point_or_rows(values):
     """A float for one point; the array for a (..., n) stack of points."""
     return float(values) if values.ndim == 0 else values
@@ -144,71 +141,6 @@ def _kkt_residual(obj: Objective, mmap: MirrorMap, x: np.ndarray) -> float:
     return float(np.linalg.norm(g))
 
 
-def _golden_section(fun, lo: float, hi: float, iters: int = 80) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] by golden section."""
-    a, b = lo, hi
-    c = b - GOLDEN_RATIO * (b - a)
-    d = a + GOLDEN_RATIO * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_RATIO * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_RATIO * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-def _face_descent_round(obj: Objective, x: np.ndarray) -> np.ndarray:
-    """One golden-section line search along the projected steepest-descent
-    direction, restricted to the face of currently active coordinates."""
-    floor = 1e-18
-    g = obj.gradient(x)
-    active = x <= floor
-    d = -g.copy()
-    d[active] = 0.0
-    free = ~active
-    if free.sum() < 2:
-        return x
-    d[free] -= d[free].mean()  # stay on the simplex hyperplane
-    if float(np.abs(d).max()) == 0.0:
-        return x
-    neg = d < 0
-    theta_max = float(np.min(x[neg] / -d[neg])) if neg.any() else 1.0
-    if theta_max <= 0.0:
-        return x
-    theta = _golden_section(lambda th: obj.value(x + th * d), 0.0, theta_max)
-    candidate = np.clip(x + theta * d, 0.0, None)
-    candidate /= candidate.sum()
-    return candidate if obj.value(candidate) < obj.value(x) else x
-
-
-def _polish_on_face(obj: Objective, mmap: MirrorMap, x: np.ndarray, rounds: int = 8) -> np.ndarray:
-    """Polish an approximate simplex minimizer: optionally snap nearly-zero
-    coordinates onto their face (kept only if the optimality residual does
-    not worsen; the residual measures all simplex directions, so a wrong
-    snap cannot pass), then run golden-section descent on the face."""
-    best = x
-    best_res = _kkt_residual(obj, mmap, x)
-    if float(x.min()) < 1e-3 and float(x.max()) > 1e-3:
-        snapped = np.where(x < 1e-3, 0.0, x)
-        snapped = snapped / snapped.sum()
-        for _ in range(rounds):
-            snapped = _face_descent_round(obj, snapped)
-        if _kkt_residual(obj, mmap, snapped) <= best_res:
-            best = snapped
-            best_res = _kkt_residual(obj, mmap, snapped)
-    polished = best
-    for _ in range(rounds):
-        polished = _face_descent_round(obj, polished)
-    if _kkt_residual(obj, mmap, polished) <= best_res:
-        best = polished
-    return best
-
-
 def solve_minimizer(
     obj: Objective,
     mmap: MirrorMap,
@@ -239,26 +171,17 @@ def solve_minimizer(
         step = 0.5 / lip if np.isfinite(lip) and lip > 0 else 0.1
 
     if isinstance(mmap, EntropicSimplexMap):
-        x = np.full(mmap.dim, 1.0 / mmap.dim)
+        # x is a list of floats: on a few coordinates numpy's call overhead
+        # outweighs its arithmetic, which floats round alike.
+        x = [1.0 / mmap.dim] * mmap.dim
         floor = 1e-300  # keep log finite while coordinates collapse to a face
-        spent = 0
-        # alternate fixed-point phases with face polish: interior minimizers
-        # converge inside the first phase, boundary ones rely on the polish.
-        # A phase carries x as a list of floats: on a few coordinates numpy's
-        # call overhead outweighs its arithmetic, which floats round alike.
-        while spent < max_iter:
-            phase = min(150_000, max_iter - spent)
-            x = x.tolist()
-            for it in range(phase):
-                g = obj.gradient(x).tolist()
-                logs = np.log([max(v, floor) for v in x]).tolist()
-                x = softmax_point([u - step * gi for u, gi in zip(logs, g)])
-                if it % 64 == 0 and _kkt_residual(obj, mmap, x) < tol:
-                    break
-            spent += it + 1
-            x = _polish_on_face(obj, mmap, np.array(x))
-            if _kkt_residual(obj, mmap, x) < tol:
+        for it in range(max_iter):
+            g = obj.gradient(x).tolist()
+            logs = np.log([max(v, floor) for v in x]).tolist()
+            x = softmax_point([u - step * gi for u, gi in zip(logs, g)])
+            if it % 64 == 0 and _kkt_residual(obj, mmap, x) < tol:
                 break
+        x = np.array(x)
         residual = _kkt_residual(obj, mmap, x)
         if residual >= tol:
             raise NoConvergence(
