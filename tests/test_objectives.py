@@ -12,6 +12,89 @@ from mirrorflow.objectives import (
     make_objective,
     solve_minimizer,
 )
+from test_kernel_reference import ref_gradient
+
+
+def inline_sum_exp(n, scale=1024.0):
+    """Identity rows centred on the simplex, perturbed by ((3i + 5j) mod 11 -
+    5) / scale: the shape of an inline scenario's objective."""
+    return SumExp(np.array([[float(i == j) - 1.0 / n + ((3 * i + 5 * j) % 11 - 5) / scale
+                             for j in range(n)] for i in range(n)]))
+
+
+def pinned_instance(name, n):
+    if name == "inline":
+        return inline_sum_exp(n)
+    return {"default": presets.default_sum_exp, "face": presets.face_sum_exp,
+            "rank1": presets.default_rank1}[name]()
+
+
+def ref_root(objective, x):
+    """J and r with Hessian J^T J and gradient J^T r."""
+    if isinstance(objective, SumExp):
+        C = objective.coefficients
+        root = np.sqrt(np.exp(C @ x))
+        return root[:, None] * C, root
+    return objective.c[None, :], np.array([objective.c @ x])
+
+
+def ref_residual(objective, x):
+    g = ref_gradient(objective, x)
+    return float(g @ x - g.min())
+
+
+def ref_face_newton(objective, x):
+    """Newton on the face (coordinates at or above 1e-8, and those with a
+    lower slope than all of them) as a least-squares solve in the moves
+    e_j - e_ref, ref the face's largest coordinate; a coordinate that would
+    reach 0 leaves the face at 0 and its mass goes to ref."""
+    J, r = ref_root(objective, x)
+    if not (np.isfinite(J).all() and np.isfinite(r).all()):
+        return None
+    g = J.T @ r
+    face = (x >= 1e-8) | (g < g[x >= 1e-8].min())
+    base = x.copy()
+    while face.any():
+        idx = np.flatnonzero(face)
+        ref = idx[np.argmax(x[idx])]
+        free = idx[idx != ref]
+        shift = base - x
+        shift[ref] += x.sum() - base.sum()
+        u = np.linalg.lstsq(J[:, free] - J[:, [ref]], -(r + J @ shift))[0]
+        y = x + shift
+        y[free] += u
+        y[ref] -= u.sum()
+        if (y[idx] > 0.0).all():
+            return y / y.sum()
+        base[idx[y[idx] <= 0.0]] = 0.0
+        face[idx[y[idx] <= 0.0]] = False
+    return None
+
+
+def ref_minimizer(objective, tol):
+    """The simplex oracle on plain arrays: multiplicative-weights steps at
+    0.5 / L from the barycentre; before every 64th step the residual test,
+    and before steps 64, 128, 256, ... up to 16 Newton steps on the face,
+    the first below tol ending the solve."""
+    n = objective.dim
+    step = 0.5 / objective.grad_lipschitz_bound(maps.EntropicSimplexMap(n))
+    x = np.full(n, 1.0 / n)
+    for it in range(1_000_000):
+        if it % 64 == 0:
+            if ref_residual(objective, x) < tol:
+                return x
+            if it >= 64 and bin(it).count("1") == 1:
+                y = x
+                for _ in range(16):
+                    y = ref_face_newton(objective, y)
+                    if y is None:
+                        break
+                    if ref_residual(objective, y) < tol:
+                        return y
+        z = np.log(np.maximum(x, 1e-300)) - step * ref_gradient(objective, x)
+        e = np.exp(z - z.max())
+        x = e / e.sum()
+    raise AssertionError("the reference loop did not converge")
 
 
 class TestValues:
@@ -59,6 +142,26 @@ class TestGradientsByFiniteDifference:
                 e[j] = step
                 fd = (objective.value(x + e) - objective.value(x - e)) / (2 * step)
                 assert abs(fd - g[j]) / scale < 1e-6
+
+    @pytest.mark.parametrize(
+        "objective",
+        [presets.default_sum_exp(), presets.face_sum_exp(), presets.default_rank1()],
+        ids=["sum-exp", "sum-exp-face", "rank1"],
+    )
+    def test_hessian_root_against_central_differences(self, objective, rng):
+        """J^T J is the Hessian (by central differences of the gradient) and
+        J^T r the gradient."""
+        step = 1e-5
+        for x in rng.dirichlet(np.ones(objective.dim), size=200):
+            J, r = objective.hessian_root(x)
+            np.testing.assert_allclose(J.T @ r, objective.gradient(x), rtol=1e-13, atol=1e-15)
+            H = J.T @ J
+            scale = max(1.0, float(np.abs(H).max()))
+            for j in range(objective.dim):
+                e = np.zeros(objective.dim)
+                e[j] = step
+                fd = (objective.gradient(x + e) - objective.gradient(x - e)) / (2 * step)
+                assert np.abs(fd - H[:, j]).max() / scale < 1e-6
 
 
 class TestOracle:
@@ -111,34 +214,52 @@ class TestOracle:
         assert cert.residual < 1e-10
 
     @pytest.mark.parametrize("name, n, x_star_sha256, f_star", [
-        ("default", 3, "e66e05adbe933c68467e187447387335fdf632d5bffb3bc1600d0bdb8415b4e4",
-         "0x1.7dea6d9e03670p+1"),
-        ("face", 3, "782f14c8954152de067dc8b571f775ee4b3d2c00a7ca327a053eaa54093ec211",
-         "0x1.bae4bddebda34p+1"),
-        ("rank1", 3, "017acd2142396efd66da0af47d73827435375532bc3449ada8a43149cf175415",
-         "0x1.6322a9478c728p-110"),
-        ("inline", 8, "d287c1e52c192c0a4117de2f90977920703ca15f335384860b386b74b8aa406b",
-         "0x1.fffb26c879fdap+2"),
-        ("inline", 50, "4145f5e48fdbe91110589b0b0b86d8657a2d461012034a50c687306dc455255a",
+        ("default", 3, "928135356bf9f18af5d5f999f11c99d4d7bedcb35b3b4fe8ed7c2c34c2d42634",
+         "0x1.7dea6d9e03672p+1"),
+        ("face", 3, "22823bee2765ee2fb94ae03b994966adc5a28308fa360f15dd63c5aaa2957a0e",
+         "0x1.bae4bddebd67ap+1"),
+        ("rank1", 3, "6f396ce8f229d5339ade9fb75fa07503584a451a6cf02b194f99f2aa4c6e0d0d",
+         "0x1.39c62151580ddp-110"),
+        ("inline", 8, "3bbf9030384f2cd6ba4a67fff8df83ee860dda74b0ce40653c13dc98112057fe",
+         "0x1.fffb26c879fdbp+2"),
+        ("inline", 50, "b2ffea8f35bd7fdeabb82c4af0103b4ba41787757315058334dfee50bc0287c5",
          "0x1.8fff2d07e42cep+5"),
     ])
     def test_minimizer_bits_pinned(self, name, n, x_star_sha256, f_star):
-        """x* and f* bit for bit, as recorded before the oracle's fixed-point
-        loop moved to float lists; n = 8 and 50 take `row_sum`'s pairwise
-        side. The inline instances converge quickly at step 0.2, where the
-        curvature bound's default step crawls at n = 50."""
-        step = None
-        if name == "inline":
-            objective = SumExp(np.array([
-                [float(i == j) - 1.0 / n + ((3 * i + 5 * j) % 11 - 5) / 1024.0
-                 for j in range(n)] for i in range(n)]))
-            step = 0.2
-        else:
-            objective = {"default": presets.default_sum_exp, "face": presets.face_sum_exp,
-                         "rank1": presets.default_rank1}[name]()
-        cert = solve_minimizer(objective, maps.EntropicSimplexMap(n), tol=1e-12, step=step)
+        """x* and f* bit for bit on the dispatch they were recorded on (x86-64
+        with AVX-512); n = 8 and 50 take `row_sum`'s pairwise side. Every
+        instance takes the oracle's own step."""
+        cert = solve_minimizer(pinned_instance(name, n), maps.EntropicSimplexMap(n), tol=1e-12)
         assert hashlib.sha256(cert.x_star.astype("<f8").tobytes()).hexdigest() == x_star_sha256
         assert float(cert.f_star).hex() == f_star
+
+    @pytest.mark.parametrize("name, n", [
+        ("default", 3), ("face", 3), ("rank1", 3), ("inline", 8), ("inline", 50)])
+    def test_minimizer_equals_reference_loop(self, name, n):
+        """The oracle equals its plain-array reference bit for bit, on any
+        numpy dispatch: the pins above hold only on the one they record."""
+        objective = pinned_instance(name, n)
+        cert = solve_minimizer(objective, maps.EntropicSimplexMap(n), tol=1e-12)
+        x = ref_minimizer(objective, 1e-12)
+        np.testing.assert_array_equal(cert.x_star, x)
+        assert cert.residual == ref_residual(objective, x)
+
+    def test_inline_n50_certifies_with_its_own_step(self):
+        cert = solve_minimizer(inline_sum_exp(50), maps.EntropicSimplexMap(50), tol=1e-10,
+                               max_iter=100_000)
+        assert cert.residual < 1e-10
+        assert not cert.boundary
+        assert cert.z_star is not None
+
+    def test_face_newton_certifies_where_the_multiplicative_step_stalls(self):
+        """With perturbations /64 the n = 50 minimizer lies on a face with
+        small positive coordinates. The multiplicative step alone leaves a
+        residual of 2.8e-8 after 100,000 iterations; the Newton step on the
+        face certifies it."""
+        cert = solve_minimizer(inline_sum_exp(50, scale=64.0), maps.EntropicSimplexMap(50),
+                               tol=1e-10, max_iter=100_000)
+        assert cert.residual < 1e-10
+        assert cert.boundary
 
     def test_budget_exhaustion_raises(self, simplex3):
         with pytest.raises(NoConvergence):

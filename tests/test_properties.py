@@ -3,8 +3,8 @@ between configuration admission and what the integrator accepts, scenarios
 with extreme values ending in one error line and not a traceback, the
 power-law form and exactness of every noise model's volatility bound, the
 entropic map's identities at extreme dual magnitudes, stacked evaluation
-equal to row-by-row evaluation, and the step's list arithmetic equal to the
-array methods."""
+equal to row-by-row evaluation, the step's list arithmetic equal to the
+array methods, and the minimizer oracle's certificate."""
 
 import contextlib
 import io
@@ -31,7 +31,7 @@ from mirrorflow.config import (
 )
 from mirrorflow.dynamics import energy_anchor, energy_value, simulate
 from mirrorflow.errors import StepTooLarge
-from mirrorflow.maps import EntropicSimplexMap, EuclideanMap, row_sum, softmax
+from mirrorflow.maps import INTERIOR_THRESHOLD, EntropicSimplexMap, EuclideanMap, row_sum, softmax
 from mirrorflow.noise import (
     DiagonalPowerLawNoise,
     NoiseStream,
@@ -39,7 +39,7 @@ from mirrorflow.noise import (
     StateScaledNoise,
     ZeroNoise,
 )
-from mirrorflow.objectives import Rank1Quadratic, SumExp
+from mirrorflow.objectives import Rank1Quadratic, SumExp, solve_minimizer
 from mirrorflow.schedules import coupled_bundle
 
 def finite(lo, hi):
@@ -425,3 +425,46 @@ def test_point_functions_equal_the_array_methods_bitwise(z):
     assert type(got_x) is list and type(got_z) is list
     assert list(map(bits, got_x)) == list(map(bits, softmax(z).tolist()))
     assert list(map(bits, got_z)) == list(map(bits, (z - z.mean()).tolist()))
+
+
+@st.composite
+def simplex_sum_exps(draw):
+    """A sum-exp objective on the simplex: 2 to 6 coordinates, 1 to 6 rows
+    of coefficients in [-1, 1], and 3 added to the columns drawn as raised
+    (never all). A raised column exceeds every other by at least 1 in each
+    row, so its slope exceeds theirs everywhere and its coordinate is 0 at
+    the minimizer: the instance has a face minimizer."""
+    n = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 6))
+    c = np.array(draw(st.lists(finite(-1.0, 1.0), min_size=rows * n, max_size=rows * n)))
+    raised = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    raised[draw(st.integers(0, n - 1))] = False
+    c = c.reshape(rows, n) + 3.0 * raised
+    return SumExp(c), raised
+
+
+@given(simplex_sum_exps(), st.integers(0, 2**32 - 1))
+def test_oracle_certificate_holds(instance, seed):
+    """The certificate meets its tolerance, calls x* boundary exactly when a
+    coordinate is below INTERIOR_THRESHOLD (and then gives no dual anchor),
+    and f* is a lower bound up to the residual: by convexity f(p) >= f* +
+    <g*, p - x*> >= f* - residual on the simplex. Raised columns put x* on a
+    face: their slope exceeds another's by at least the sum of the terms
+    (at least rows / e), so the residual caps their coordinates at tol * e.
+    The curvature bound that sets the step holds at every point tried."""
+    objective, raised = instance
+    n = objective.dim
+    mmap = EntropicSimplexMap(n)
+    tol = 1e-10
+    cert = solve_minimizer(objective, mmap, tol=tol)
+    assert cert.residual < tol
+    assert cert.boundary == (float(cert.x_star.min()) < INTERIOR_THRESHOLD)
+    assert (cert.z_star is None) == cert.boundary
+    if raised.any():
+        assert cert.boundary
+    points = np.vstack([np.eye(n), np.random.default_rng(seed).dirichlet(np.ones(n), 32)])
+    assert np.all(objective.value(points) >= cert.f_star - cert.residual - 1e-12)
+    bound = objective.grad_lipschitz_bound(mmap)
+    for p in points:
+        J, _ = objective.hessian_root(p)
+        assert float(np.abs(J.T @ J).max()) <= bound * (1.0 + 1e-12)
