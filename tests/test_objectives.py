@@ -244,22 +244,18 @@ class TestOracle:
         np.testing.assert_array_equal(cert.x_star, x)
         assert cert.residual == ref_residual(objective, x)
 
-    def test_inline_n50_certifies_with_its_own_step(self):
-        cert = solve_minimizer(inline_sum_exp(50), maps.EntropicSimplexMap(50), tol=1e-10,
-                               max_iter=100_000)
-        assert cert.residual < 1e-10
-        assert not cert.boundary
-        assert cert.z_star is not None
-
-    def test_face_newton_certifies_where_the_multiplicative_step_stalls(self):
-        """With perturbations /64 the n = 50 minimizer lies on a face with
-        small positive coordinates. The multiplicative step alone leaves a
-        residual of 2.8e-8 after 100,000 iterations; the Newton step on the
-        face certifies it."""
-        cert = solve_minimizer(inline_sum_exp(50, scale=64.0), maps.EntropicSimplexMap(50),
+    @pytest.mark.parametrize("scale, boundary", [(1024.0, False), (64.0, True)])
+    def test_inline_n50_certifies_with_its_own_step(self, scale, boundary):
+        """At n = 50 the oracle's own step certifies. Perturbations /1024
+        give an interior minimizer, /64 one on a face with small positive
+        coordinates, where the multiplicative step alone still leaves a
+        residual of 2.8e-8 after 100,000 iterations and the Newton steps on
+        the face finish."""
+        cert = solve_minimizer(inline_sum_exp(50, scale), maps.EntropicSimplexMap(50),
                                tol=1e-10, max_iter=100_000)
         assert cert.residual < 1e-10
-        assert cert.boundary
+        assert cert.boundary == boundary
+        assert (cert.z_star is None) == boundary
 
     def test_budget_exhaustion_raises(self, simplex3):
         with pytest.raises(NoConvergence):
