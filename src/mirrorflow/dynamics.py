@@ -15,19 +15,19 @@ r(t) * gap + s(t) * D(z / s, z*), the accumulated noise strength
 b(t) = integral of (eta * sigma_star)^2 from t0 (in closed form: the bound
 sigma_star does not depend on the path), and the running Ito integral of
 <V, dB> with V = -eta sigma^T (mirror - x*), using the same Gaussian
-increments as the dual update.
+increments as the dual update: the step adds each increment on Python
+floats, left to right, so the integral takes no BLAS dot.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
-from .maps import EuclideanMap, MirrorMap, row_dot
+from .maps import EuclideanMap, MirrorMap
 from .noise import NoiseModel, NoiseStream, ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, Objective
 from .schedules import (CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible,
@@ -155,18 +155,20 @@ def _law_closure(law: PowerLaw):
     return lambda t: coef * t**exponent
 
 
-def bind_step(spec: SystemSpec):
+def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
     """The step of `spec`'s flow with its objective, map, rates and noise
-    bound once: advance(x, z, t, hk, dW) -> (x_new, z_new, eta, d, anchor).
+    bound once: advance(x, z, t, hk, dW) -> (x_new, z_new, dmart).
 
     It takes one step of length hk from time t, using only time-t quantities
     on the right-hand side; ``z`` holds the velocity for the oscillator and
     ``dW`` is the Wiener increment (None: no noise arithmetic). md/smd are
     the averaged systems' dual update with eta = 1; only the primal update
     and the oscillator's velocity form differ per kind. Besides the new
-    state, with the dual already projected, it returns what the Ito
-    integral's increment needs (see `ito_increments`): eta, sigma's diagonal
-    d and the anchor, the time-t mirror point (x itself for md/smd).
+    state, with the dual already projected, it returns the Ito integral's
+    increment dmart = <-eta sigma^T (anchor - x_star), dW>, the anchor being
+    the time-t mirror point (x itself for md/smd): the sum over i of
+    (-eta * (d_i * (anchor_i - x_star_i))) * dW_i, with d sigma's diagonal,
+    added left to right from 0.0. It is 0.0 without noise or x_star.
 
     States, increments and the anchor are lists of Python floats, whose
     arithmetic rounds as numpy's elementwise operations do; numpy computes
@@ -196,9 +198,11 @@ def bind_step(spec: SystemSpec):
             damping = friction / t
             dz = [hk * (-g - v * damping) for g, v in zip(gradient(x).tolist(), z)]
             return ([u + hk * v for u, v in zip(x, z)], project([v + dv for v, dv in zip(z, dz)]),
-                    0.0, 0.0, x)
+                    0.0)
 
         return advance
+
+    star = None if x_star is None else np.asarray(x_star, dtype=float).tolist()
 
     def advance(x, z, t, hk, dW=None):
         g = gradient(x).tolist()
@@ -208,40 +212,28 @@ def bind_step(spec: SystemSpec):
         else:
             eta = 1.0
             anchor = x
+        dmart = 0.0
         # the scalar factor carries the sign: exact, and one operation fewer
         if dW is None:
-            d = 0.0
             scale = -(eta * hk)
             dz = [scale * gi for gi in g]
         else:
-            d = diag(x, t)
-            if isinstance(d, np.ndarray):  # one volatility per coordinate
-                d = d.tolist()
-            ds = d if isinstance(d, list) else itertools.repeat(d)
+            d = diag(x, t)  # a scalar, or one volatility per coordinate
+            ds = d.tolist() if isinstance(d, np.ndarray) else [d] * len(g)
             neg_eta = -eta
             dz = [neg_eta * (hk * gi + di * w) for gi, di, w in zip(g, ds, dW)]
+            if star is not None:  # not `sum`, which compensates from Python 3.12
+                for di, m, s, w in zip(ds, anchor, star, dW):
+                    dmart += (neg_eta * (di * (m - s))) * w
         z_new = project([v + dv for v, dv in zip(z, dz)])
         if averaged:
             pull = a_at(t) * hk
             x_new = [u + pull * (m - u) for u, m in zip(x, anchor)]
         else:
             x_new = mirror_at(z_new, t + hk)
-        return x_new, z_new, eta, d, anchor
+        return x_new, z_new, dmart
 
     return advance
-
-
-def ito_increments(etas, ds, anchors, x_star: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Increments <-eta sigma^T (anchor - x*), dW> of the Ito integral over
-    a block of steps, from per-step sequences of eta, of sigma's diagonal d
-    (a scalar or n values) and of the anchor, with the block's (rows, n)
-    Wiener increments. Each row equals `(-eta * (d * (anchor - x_star))) @
-    dW` on its step alone, bit for bit: the products are elementwise and the
-    dot is `row_dot`'s stacked matmul."""
-    rows = len(etas)
-    neg_eta = -np.array(etas)[:, None]
-    d = np.array(ds).reshape(rows, -1)
-    return row_dot(neg_eta * (d * (np.array(anchors) - x_star)), dW)
 
 
 @dataclass
@@ -448,7 +440,7 @@ def simulate(
     m = len(rec_rows)
     xs = np.empty((m, n))
     zs = np.empty((m, n))
-    marts = np.zeros(m)  # the Ito integral stays 0.0 without noise
+    marts = np.empty(m)
 
     x = np.array(spec.x0, dtype=float)
     if spec.kind == "nesterov":
@@ -458,8 +450,7 @@ def simulate(
         z = np.array(spec.z0, dtype=float)
     x, z = x.tolist(), z.tolist()
 
-    advance = bind_step(spec)
-    ito = noisy and track_energy
+    advance = bind_step(spec, x_star)
     # (start, stop, hk): the steps whose Wiener increments one (rows, n) draw
     # gives, NOISE_BLOCK_ROWS steps at a time. The stream gives the same
     # numbers whatever the block size, so a block draw gives the per-step
@@ -469,30 +460,26 @@ def simulate(
               for start in range(0, full_steps, NOISE_BLOCK_ROWS)]
     if not exact_span:  # the clipped final step of an inexact span, drawn alone
         blocks.append((full_steps, n_steps, t_end - (t0 + full_steps * h)))
-    mart = 0.0
+    mart = 0.0  # the Ito integral stays 0.0 without noise or x*
     ri = 0
     # a diverging run overflows in numpy before the finiteness check names it
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop, hk in blocks:
             rows = stop - start
             if noisy:
-                block = stream.standard_normals(n * rows).reshape(rows, n) * math.sqrt(hk)
-                dWs = block.tolist()
+                dWs = (stream.standard_normals(n * rows).reshape(rows, n)
+                       * math.sqrt(hk)).tolist()
             else:
-                dWs = itertools.repeat(None, rows)
-            ri_block = ri
-            etas, ds, anchors = [], [], []
+                dWs = [None] * rows
             for k, dW in zip(range(start, stop), dWs):
                 if k == rec_rows[ri]:  # the last recorded row, n_steps, lies past the loop
                     xs[ri] = x
                     zs[ri] = z
+                    marts[ri] = mart
                     ri += 1
                 t = t0 + k * h
-                x, z, eta, d, anchor = advance(x, z, t, hk, dW)
-                if ito:
-                    etas.append(eta)
-                    ds.append(d)
-                    anchors.append(anchor)
+                x, z, dmart = advance(x, z, t, hk, dW)
+                mart += dmart
 
                 # a sum is finite exactly when every coordinate is, short of
                 # overflow, whatever the order it adds them in
@@ -500,13 +487,6 @@ def simulate(
                     part = "x" if not math.isfinite(sum(x)) else "z"
                     raise NonFinite(f"{part} became non-finite at step {k}; "
                                     f"the last finite state is at t = {t:g}")
-            if ito:
-                # the running integral after each step of the block, in the order
-                # (and so with the bits) of adding the increments one at a time
-                running = np.add.accumulate(np.concatenate(
-                    ([mart], ito_increments(etas, ds, anchors, x_star, block))))
-                marts[ri_block:ri] = running[[row - start for row in rec_rows[ri_block:ri]]]
-                mart = running[-1]
     xs[ri] = x
     zs[ri] = z
     marts[ri] = mart

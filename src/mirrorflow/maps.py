@@ -21,9 +21,13 @@ INTERIOR_THRESHOLD = 1e-8
 
 
 def row_dot(a: np.ndarray, b: np.ndarray):
-    """<a, b> over the last axis of stacked (..., n) operands. The stacked
-    matmul takes the same dot kernel per row as `a @ b` on one pair, so each
-    row keeps its bits; `a @ b` on a stack (a gemv) does not."""
+    """<a, b> over the last axis of stacked (..., n) operands. Each row is
+    one stacked-matmul dot, which on the native OpenBLAS kernels has the
+    bits of `a @ b` on that pair alone; `a @ b` on a stack (a gemv) does
+    not. The bits are the BLAS kernel's, and not every kernel keeps them:
+    under `OPENBLAS_CORETYPE=Prescott` a dot depends on where its operands
+    lie in memory, so a row of a 7-coordinate stack can differ from `a @ b`
+    on copies of that pair."""
     return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]
 
 

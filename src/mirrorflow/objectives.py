@@ -87,8 +87,10 @@ class SumExp(Objective):
             # norm is its largest entry in magnitude, which for a PSD matrix
             # lies on the diagonal (|H_jk| <= sqrt(H_jj H_kk)); on the simplex
             # e^{<c_i,x>} <= e^{max_j c_ij}, so H_jj <= sum_i peak_i c_ij^2.
-            peak = np.exp(C.max(axis=1))
-            return float((peak @ C**2).max())
+            # An overflow leaves inf or NaN: no finite bound.
+            with np.errstate(over="ignore", invalid="ignore"):
+                peak = np.exp(C.max(axis=1))
+                return float((peak @ C**2).max())
         if isinstance(mmap, EuclideanMap):
             return float("inf")  # unbounded domain, unbounded curvature
         raise ValueError(f"unsupported map {mmap!r}")
@@ -198,6 +200,8 @@ def _newton_finish(obj: Objective, mmap: MirrorMap, x: np.ndarray,
     return None
 
 
+# an overflowing exponent fails a finiteness test, not with a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve_minimizer(
     obj: Objective,
     mmap: MirrorMap,
@@ -224,7 +228,8 @@ def solve_minimizer(
 
     Raises
     ------
-    NoConvergence if the budget is exhausted above tolerance.
+    NoConvergence if the budget is exhausted above tolerance, or at the
+    first residual check whose residual or iterate is not finite.
     """
     lip = obj.grad_lipschitz_bound(mmap)
     step = 0.5 / lip if np.isfinite(lip) and lip > 0 else 0.1
@@ -237,7 +242,10 @@ def solve_minimizer(
         for it in range(max_iter):
             if it % 64 == 0:
                 x = np.array(x)
-                if _kkt_residual(obj, mmap, x) < tol:
+                residual = _kkt_residual(obj, mmap, x)
+                if not (np.isfinite(residual) and np.isfinite(x).all()):
+                    raise NoConvergence(f"oracle iterate or residual not finite after {it} steps")
+                if residual < tol:
                     break
                 # The multiplicative step moves x_j in proportion to x_j, so
                 # it crawls near small positive coordinates and along nearly
@@ -255,7 +263,7 @@ def solve_minimizer(
             x = softmax_point([u - step * gi for u, gi in zip(logs, g)])
         x = np.array(x)
         residual = _kkt_residual(obj, mmap, x)
-        if residual >= tol:
+        if not residual < tol:  # a NaN residual fails too
             raise NoConvergence(
                 f"oracle residual {residual:.3e} above tolerance {tol:.1e}"
             )
@@ -272,9 +280,6 @@ def solve_minimizer(
 
     if isinstance(mmap, EuclideanMap):
         x = np.zeros(mmap.dim)
-        # rank-one quadratics have curvature c c^T; use 1/||c||^2 steps
-        if isinstance(obj, Rank1Quadratic):
-            step = 1.0 / float(obj.c @ obj.c)
         for it in range(max_iter):
             g = obj.gradient(x)
             if float(np.linalg.norm(g)) < tol:
@@ -283,7 +288,7 @@ def solve_minimizer(
             if not np.all(np.isfinite(x)):
                 raise NoConvergence("gradient iteration diverged")
         residual = _kkt_residual(obj, mmap, x)
-        if residual >= tol:
+        if not residual < tol:  # a NaN residual fails too
             raise NoConvergence(
                 f"oracle residual {residual:.3e} above tolerance {tol:.1e}"
             )

@@ -350,8 +350,8 @@ class Verifier:
     def check_determinism(self) -> CheckResult:
         """Bitwise degeneracy and reproducibility: each stochastic
         integrator, with volatility 0.1 on a `ZeroStream`, reproduces its
-        deterministic twin exactly while it draws, steps and settles the Ito
-        integral on the noise path (eta = 1, so each dual increment is
+        deterministic twin exactly while it draws, steps and adds the Ito
+        increments on the noise path (eta = 1, so each dual increment is
         -(h grad f + d * 0.0) against the twin's -h grad f), and identical
         seeds reproduce identical trajectories."""
         measured = {}

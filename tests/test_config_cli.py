@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,24 @@ class TestCli:
         assert proc.stderr.splitlines() == [
             "error: x became non-finite at step 4; the last finite state is at t = 3"
         ]
+
+    def test_overflowing_objective_is_one_error_line(self, tmp_path):
+        # exp(1e300 / 2) overflows at the oracle's first residual check,
+        # which stops there, before any output is written
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("objective.source = inline\nobjective.dim = 2\nobjective.c = 1e300 0\n"
+                       f"out = {tmp_path / 'run'}\n")
+        src = str(Path(mirrorflow.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mirrorflow", "simulate", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: oracle iterate or residual not finite after 0 steps"
+        ]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, lines", [
         ("compare", ""),

@@ -11,7 +11,6 @@ from mirrorflow.dynamics import (
     SystemSpec,
     averaged_iterate,
     bind_step,
-    ito_increments,
     md_bundle,
     nesterov_bundle,
     primal_average_residual,
@@ -62,10 +61,11 @@ def noisy_spec(kind, geometry, noise_kind):
 
 
 class TestSingleSteps:
-    @pytest.mark.parametrize("kind", ["md", "smd", "samd"])
-    def test_step_matches_hand_arithmetic(self, kind, simplex3):
+    @pytest.mark.parametrize("kind, noisy", [("md", False), ("smd", True), ("samd", False),
+                                             ("samd", True)],
+                             ids=["md", "smd", "samd", "samd-noisy"])
+    def test_step_matches_hand_arithmetic(self, kind, noisy, simplex3):
         obj = presets.default_sum_exp()
-        noisy = kind == "smd"
         spec = SystemSpec(
             kind=kind,
             mmap=simplex3,
@@ -78,32 +78,31 @@ class TestSingleSteps:
         t, h = 1.0, 0.01
         dW = np.array([0.03, -0.01, 0.02]) if noisy else None
         x_star = np.array([0.4, 0.3, 0.3])
-        x1, z1, eta, d, anchor = bind_step(spec)(spec.x0, spec.z0, t, h, dW)
+        x1, z1, dmart = bind_step(spec, x_star)(spec.x0, spec.z0, t, h, dW)
         # independent arithmetic; eta = 1 for every kind here
         g = np.exp(obj.coefficients @ spec.x0) @ obj.coefficients
         dz_expect = -h * g - (0.1 * dW if noisy else 0.0)
         z_expect = spec.z0 + dz_expect
         z_expect = z_expect - z_expect.mean()
+        # the Ito integrand's anchor: the time-t mirror point, x0 for md/smd
+        anchor = spec.x0
         if kind == "samd":
             e = np.exp(spec.z0 / 1.0 - np.max(spec.z0 / 1.0))
-            mirror = e / e.sum()
-            x_expect = spec.x0 + (1.0 * h) * (mirror - spec.x0)
+            anchor = e / e.sum()
+            x_expect = spec.x0 + (1.0 * h) * (anchor - spec.x0)
         else:
             s_next = (t + h) ** 0.5
             e = np.exp(z_expect / s_next - np.max(z_expect / s_next))
             x_expect = e / e.sum()
         np.testing.assert_allclose(z1, z_expect, atol=1e-14)
         np.testing.assert_allclose(x1, x_expect, atol=1e-14)
-        assert eta == 1.0
-        np.testing.assert_allclose(anchor, spec.x0 if kind != "samd" else mirror, atol=1e-15)
         if noisy:
-            assert d == 0.1
-            dmart = ito_increments([eta], [d], [anchor], x_star, dW[None])[0]
-            assert dmart == pytest.approx(-0.1 * (spec.x0 - x_star) @ dW, abs=1e-15)
+            assert dmart == pytest.approx(-0.1 * (anchor - x_star) @ dW, abs=1e-15)
+            assert dmart != 0.0
             sigma_star = spec.noise.sigma_star_power().value(t)
-            assert eta * eta * sigma_star**2 * h == pytest.approx(0.1**2 * h, rel=1e-14)
+            assert sigma_star**2 * h == pytest.approx(0.1**2 * h, rel=1e-14)
         else:
-            assert d == 0.0
+            assert dmart == 0.0
 
     def test_zero_gradient_relaxes_toward_mirror_point(self, simplex3):
         obj = SumExp(np.zeros((1, 3)))
@@ -222,7 +221,7 @@ class TestSimulateMatchesStepFunctions:
     @pytest.mark.parametrize("kind", ["smd", "samd"])
     def test_replay_across_noise_blocks(self, kind, geometry, noise_kind):
         # 700 steps of h in blocks of 256, 256 and 188 rows, then a clipped
-        # half step drawn alone; the Ito integral is settled once per block
+        # half step drawn alone
         spec, cert = noisy_spec(kind, geometry, noise_kind)
         h, stride = 0.01, 7
         t_end = 1.0 + 700.5 * h

@@ -7,12 +7,17 @@ recomputed at every recorded row, and b taken at every recorded row from
 the power-law algebra. The two must agree bit for bit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mirrorflow
 from mirrorflow import presets
 from mirrorflow.analysis import covariation_check
 from mirrorflow.dynamics import (
@@ -91,7 +96,10 @@ def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
             d = spec.noise.diag(x, t)
             dz = -eta * (hk * g + d * dW)
             if x_star is not None:
-                dmart = float((-eta * (d * (anchor - x_star))) @ dW)
+                # left to right from 0.0, as the step adds it; a BLAS dot
+                # rounds differently per kernel
+                for v, w in zip((-eta * (d * (anchor - x_star))).tolist(), dW.tolist()):
+                    dmart += v * w
     z_new = ref_dual_projection(mmap, z + dz)
     if spec.kind == "nesterov":
         x_new = x + hk * z
@@ -267,3 +275,34 @@ def test_covariation_draws_the_per_step_sequence():
     error = np.cov(np.diff(zs, axis=0).T, ddof=1) - target
     assert off_max == float(np.abs(error - np.diag(np.diag(error))).max())
     assert diag_err == float(np.abs(np.diag(error)).max() / np.diag(target).max())
+
+
+PRESCOTT_CHILD = """
+import numpy as np
+from mirrorflow import presets
+from mirrorflow.dynamics import simulate
+from mirrorflow.noise import NoiseStream
+from mirrorflow.schedules import coupled_bundle
+from test_kernel_reference import ref_simulate
+
+for kind, rates in (("samd", coupled_bundle(1.0, 0.5)), ("smd", None)):
+    spec, cert = presets.default_spec(kind, rates=rates, sigma0=0.1)
+    traj = simulate(spec, cert, 5.0, 1e-2, record_stride=1, stream=NoiseStream(7, 0))
+    ref = ref_simulate(spec, cert, 5.0, 1e-2, 1, NoiseStream(7, 0))
+    for name in ("x", "z", "gap", "energy", "b", "martingale"):
+        np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=kind + " " + name)
+"""
+
+
+def test_martingale_holds_under_a_second_blas_kernel():
+    """OpenBLAS's Prescott kernels round a 3-vector dot unlike the native
+    ones; the step adds the Ito increment left to right on floats, so the
+    default-instance samd and smd runs equal the reference loop under them
+    too. The variable reaches the child process only."""
+    src = str(Path(mirrorflow.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
+    proc = subprocess.run(
+        [sys.executable, "-c", PRESCOTT_CHILD],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"},
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

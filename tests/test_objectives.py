@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,28 @@ class TestOracle:
     def test_budget_exhaustion_raises(self, simplex3):
         with pytest.raises(NoConvergence):
             solve_minimizer(presets.default_sum_exp(), simplex3, tol=1e-12, max_iter=3)
+
+    @pytest.mark.parametrize("max_iter, message", [
+        (1, "residual nan above tolerance"), (1_000_000, "not finite after 64 steps")])
+    def test_overflow_stops_at_the_first_check(self, max_iter, message):
+        """The gradient is finite at the barycentre, but one step at the
+        fallback 0.1 puts x near (0, 1), where exp(1000) overflows. With a
+        budget of one step the final residual is NaN; with the full budget
+        the check at 64 steps finds it. Both raise at once, without a numpy
+        warning."""
+        obj = SumExp(np.array([[2000.0, -2000.0], [-1000.0, 1000.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match=message):
+                solve_minimizer(obj, maps.EntropicSimplexMap(2), max_iter=max_iter)
+
+    def test_overflowing_instance_fails_at_the_first_check(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obj = SumExp(np.array([[1e300, 0.0]]))
+            assert math.isnan(obj.grad_lipschitz_bound(maps.EntropicSimplexMap(2)))
+            with pytest.raises(NoConvergence, match="not finite after 0 steps"):
+                solve_minimizer(obj, maps.EntropicSimplexMap(2))
 
 
 def test_make_objective_round_trip():
