@@ -233,6 +233,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     names = args.checks or None
     verifier = Verifier(
         base_seed=args.seed if args.seed is not None else presets.DEFAULT_BASE_SEED

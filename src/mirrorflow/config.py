@@ -225,6 +225,10 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             bad.append("objective.c rows must share one width")
         elif widths.pop() != cfg.objective_dim:
             bad.append("objective.c width must equal objective.dim")
+        if (cfg.objective_source == "inline" and cfg.objective_kind == "rank1-quadratic"
+                and len(cfg.objective_c) > 1):
+            bad.append("objective.c must have one row for objective.kind = rank1-quadratic, "
+                       f"got {len(cfg.objective_c)} rows")
     if cfg.mirror_kind not in MIRROR_CHOICES:
         bad.append(f"mirror.kind must be one of {MIRROR_CHOICES}")
     if cfg.noise_kind not in NOISE_CHOICES:
@@ -400,7 +404,9 @@ def build_rates(cfg: ScenarioConfig) -> RateBundle:
 
 def build_objective(cfg: ScenarioConfig):
     if cfg.objective_source == "inline":
-        return make_objective(cfg.objective_kind, cfg.objective_c)
+        # a rank-one quadratic's c is the single row of objective.c
+        rank1 = cfg.objective_kind == "rank1-quadratic"
+        return make_objective(cfg.objective_kind, cfg.objective_c[0] if rank1 else cfg.objective_c)
     if cfg.objective_kind == "rank1-quadratic":
         return default_rank1()
     return face_sum_exp() if cfg.objective_source == "face" else default_sum_exp()

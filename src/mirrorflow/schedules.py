@@ -156,8 +156,7 @@ def check_admissible(bundle: RateBundle, horizon: float) -> AdmissibilityReport:
 
     # eta(t) >= r'(t) on [t0, horizon]; both sides are power laws, so the
     # ratio eta / r' is monotone and only the endpoints need checking.
-    rdot_coef = bundle.r.coef * bundle.r.exponent
-    if rdot_coef <= 0.0:
+    if bundle.r.coef * bundle.r.exponent <= 0.0:
         conditions.append(
             ConditionReport(
                 "learning rate dominates energy-weight derivative",
@@ -166,9 +165,8 @@ def check_admissible(bundle: RateBundle, horizon: float) -> AdmissibilityReport:
             )
         )
     else:
-        rdot = PowerLaw(rdot_coef, bundle.r.exponent - 1.0)
         endpoints = (bundle.t0, horizon)
-        margins = [bundle.eta.value(t) - rdot.value(t) for t in endpoints]
+        margins = [bundle.eta.value(t) - bundle.r.derivative(t) for t in endpoints]
         worst = int(np.argmin(margins))
         ok = margins[worst] >= -1e-12 * max(1.0, bundle.eta.value(endpoints[worst]))
         conditions.append(
@@ -212,79 +210,3 @@ def optimal_smd_exponent(alpha_sigma: float) -> SensitivityChoice:
         alpha_s=max(0.0, alpha_sigma + 0.5),
         rate_exponent=max(alpha_sigma - 0.5, -1.0),
     )
-
-
-def as_convergence_conditions(
-    eta: PowerLaw, sigma_star: PowerLaw, t0: float = 1.0
-) -> AdmissibilityReport:
-    """Symbolic check of the almost-sure convergence conditions for power
-    laws: eta * sigma_star must be o(1 / sqrt(log t)), and the integral of
-    eta must dominate b(t) = integral of (eta * sigma_star)^2 as well as
-    sqrt(b log log b).
-
-    Verdicts follow from exponent arithmetic alone; the exponent-zero
-    product is reported as a failure since a constant is not o(1/sqrt(log)).
-    """
-    conditions = []
-    prod_exp = eta.exponent + sigma_star.exponent
-    if prod_exp < 0:
-        c1 = ConditionReport(
-            "eta * sigma_star vanishes fast enough",
-            True,
-            f"product exponent {prod_exp:g} < 0, decays polynomially",
-        )
-    elif prod_exp == 0:
-        c1 = ConditionReport(
-            "eta * sigma_star vanishes fast enough",
-            False,
-            "product is constant, not o(1/sqrt(log t))",
-        )
-    else:
-        c1 = ConditionReport(
-            "eta * sigma_star vanishes fast enough",
-            False,
-            f"product exponent {prod_exp:g} > 0, grows",
-        )
-    conditions.append(c1)
-
-    # growth orders: integral of eta ~ t^(e+1) (log when e = -1, bounded
-    # below that); b ~ t^(2*prod+1) with the same conventions.
-    eta_growth = eta.exponent + 1.0
-    b_growth = 2.0 * prod_exp + 1.0
-
-    def growth_label(g: float) -> str:
-        if g > 0:
-            return f"~ t^{g:g}"
-        if g == 0:
-            return "~ log t"
-        return "bounded"
-
-    if eta_growth < 0 or (eta_growth == 0 and b_growth >= 0):
-        dominated = False
-        detail = (
-            f"integral of eta {growth_label(eta_growth)} does not dominate "
-            f"b {growth_label(b_growth)}"
-        )
-    elif b_growth < 0:
-        dominated = eta_growth >= 0
-        detail = (
-            f"b bounded; integral of eta {growth_label(eta_growth)} diverges"
-            if dominated
-            else "both bounded"
-        )
-    elif b_growth == 0:
-        dominated = eta_growth > 0
-        detail = f"b ~ log t, dominated by integral of eta {growth_label(eta_growth)}"
-    else:
-        # envelope grows like t^(b_growth/2) up to iterated logs
-        dominated = eta_growth > b_growth
-        detail = (
-            f"integral of eta ~ t^{eta_growth:g} vs b ~ t^{b_growth:g} "
-            f"and envelope ~ t^{b_growth / 2:g}"
-        )
-        if not dominated:
-            detail += " (not dominated)"
-    conditions.append(
-        ConditionReport("integral of eta dominates noise accumulation", dominated, detail)
-    )
-    return AdmissibilityReport(tuple(conditions))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,13 @@ class TestBuildSpec:
         assert spec.kind == "nesterov"
         assert spec.beta == 2.0
 
+    def test_inline_rank1_is_the_one_row_of_objective_c(self):
+        cfg = parse_config("objective.kind = rank1-quadratic\nobjective.source = inline\n"
+                           "objective.dim = 3\nobjective.c = 1 2 0\n")
+        spec, _ = build_spec(cfg)
+        assert spec.objective.kind == "rank1-quadratic"
+        assert spec.objective.c.tolist() == [1.0, 2.0, 0.0]
+
 
 @pytest.fixture()
 def quick_cfg(tmp_path):
@@ -330,6 +338,18 @@ class TestCli:
                               text=True, check=True)
         assert proc.stdout == "[]\n"
 
+    def test_package_import_loads_no_submodule(self):
+        # the package exports only __version__; callers import submodules
+        src = Path(mirrorflow.__file__).resolve().parents[1]
+        code = ("import sys, mirrorflow; "
+                "print(sorted(m for m in sys.modules if m.startswith('mirrorflow.'))); "
+                "print(mirrorflow.__version__)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True)
+        project = tomllib.loads((src.parent / "pyproject.toml").read_text())["project"]
+        assert proc.stdout.splitlines() == ["[]", project["version"]]
+
     def test_diverging_run_is_one_error_line(self, tmp_path):
         # explicit Euler at h = 0.5 on the sum-exp objective overflows; the
         # finiteness check names it, and numpy prints no warning of its own
@@ -427,6 +447,15 @@ class TestCli:
             + ", ".join(CHECK_NAMES)
         ]
 
+    def test_verify_negative_seed_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran before the seed was checked")
+
+        monkeypatch.setattr("mirrorflow.cli.Verifier", never)
+        assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["configuration error: seed must be >= 0"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("line, key", [
         ("run.h = nan", "run.h"),
         ("run.t_end = inf", "run.t_end"),
@@ -473,6 +502,9 @@ class TestCli:
         ("system.kind = smd\nnoise.alpha_sigma = 2000", [],
          "sigma*^2 leaves the floating-point range at t = 5; set by noise.sigma0, "
          "noise.alpha_sigma, run.t_end"),
+        ("objective.kind = rank1-quadratic\nobjective.source = inline\nobjective.dim = 3\n"
+         "objective.c = 1 0 0 ; 0 1 0 ; 0 0 1", [],
+         "objective.c must have one row for objective.kind = rank1-quadratic, got 3 rows"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "rates"])
     def test_bad_input_is_named_by_key(self, tmp_path, capsys, command, lines, flags, message):

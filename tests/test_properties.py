@@ -68,13 +68,16 @@ def valid_configs(draw):
     t0 = draw(finite(0.5, 2.0))
     span = draw(finite(0.5, 50.0))
     alpha_sigma = draw(finite(-0.5, 0.45))
+    objective_kind = draw(st.sampled_from(OBJECTIVE_CHOICES))
+    # an inline rank-one quadratic is one row
+    rows = 1 if objective_kind == "rank1-quadratic" else 3
     return ScenarioConfig(
         system_kind=kind,
-        objective_kind=draw(st.sampled_from(OBJECTIVE_CHOICES)),
+        objective_kind=objective_kind,
         objective_source="inline" if inline else draw(st.sampled_from(["default", "face"])),
         objective_dim=dim,
         objective_c=draw(st.lists(st.lists(finite(-5.0, 5.0), min_size=dim, max_size=dim),
-                                  min_size=1, max_size=3)) if inline else None,
+                                  min_size=1, max_size=rows)) if inline else None,
         mirror_kind="euclidean" if kind == "nesterov" else draw(st.sampled_from(MIRROR_CHOICES)),
         alpha_r=draw(st.one_of(st.just("auto"), finite(0.05, 2.0))),
         alpha_s=draw(finite(0.0, 1.5)),

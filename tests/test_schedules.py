@@ -9,7 +9,6 @@ from mirrorflow.schedules import (
     CONSTANT_ONE,
     PowerLaw,
     RateBundle,
-    as_convergence_conditions,
     averaging_weight,
     check_admissible,
     coupled_bundle,
@@ -139,29 +138,3 @@ class TestExponentRules:
         assert optimal_smd_exponent(0.2).alpha_s == pytest.approx(0.7)
         with pytest.raises(InvalidRegime):
             optimal_smd_exponent(0.6)
-
-
-class TestAlmostSureConditions:
-    def test_worked_example_passes(self):
-        # volatility ~ t^0.3 with eta = t^(-0.8)
-        report = as_convergence_conditions(PowerLaw(1.0, -0.8), PowerLaw(1.0, 0.3))
-        assert report.passed
-
-    def test_constant_product_fails(self):
-        report = as_convergence_conditions(PowerLaw(1.0, -0.3), PowerLaw(1.0, 0.3))
-        assert not report.passed
-        assert not report.conditions[0].passed
-
-    def test_constant_noise_with_matching_rate(self):
-        report = as_convergence_conditions(PowerLaw(1.0, -0.5), PowerLaw(0.1, 0.0))
-        assert report.passed
-        assert "log" in report.conditions[1].detail
-
-    def test_growing_product_fails(self):
-        report = as_convergence_conditions(PowerLaw(1.0, 0.1), PowerLaw(1.0, 0.2))
-        assert not report.passed
-
-    def test_integral_must_diverge(self):
-        # eta integrable: integral of eta bounded, cannot dominate
-        report = as_convergence_conditions(PowerLaw(1.0, -2.0), PowerLaw(1.0, 0.0))
-        assert not report.conditions[1].passed
