@@ -41,11 +41,15 @@ from .dynamics import AVERAGED_KINDS, record_grid, simulate, write_csv
 from .errors import ConfigError, MirrorflowError
 from .noise import NoiseStream
 from .schedules import optimal_amd_exponents, optimal_smd_exponent
-from .verify import CHECK_NAMES, Verifier
+from .verify import CHECK_NAMES, Verifier, check_names
 
 
 def _load_config(args) -> ScenarioConfig:
-    cfg = parse_config(Path(args.config)) if args.config else ScenarioConfig()
+    try:
+        cfg = parse_config(Path(args.config)) if args.config else ScenarioConfig()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {args.config!r}: {reason}") from None
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -54,9 +58,15 @@ def _load_config(args) -> ScenarioConfig:
     return with_overrides(cfg, **overrides) if overrides else cfg
 
 
-def _outdir(cfg: ScenarioConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _outdir(path) -> Path:
+    """Make the output directory at path, before the run's work: a path
+    that cannot be a directory is one configuration error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {str(path)!r}: "
+                          f"{exc.strerror or exc}") from None
     return out
 
 
@@ -72,7 +82,7 @@ def _plot(args, path: Path, series, title: str, ylabel: str = "value") -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     spec, cert = build_spec(cfg)
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     stream = NoiseStream(cfg.seed, 0) if spec.is_stochastic else None
     traj = simulate(
         spec, cert, t_end=cfg.t_end, h=cfg.h,
@@ -93,7 +103,7 @@ def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
     check_ensemble_size(cfg)
     spec, cert = build_spec(cfg)
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     stats, trajs = ensemble(
         spec, cert, t_end=cfg.t_end, h=cfg.h, record_stride=cfg.record_stride,
         count=cfg.count, base_seed=cfg.seed,
@@ -154,12 +164,13 @@ def cmd_rates(args) -> int:
     for reason in skipped:
         print(f"skip {reason}", file=sys.stderr)
     _check_fit_window(cfg)
+    built = [[(run_cfg, *build_spec(run_cfg)) for run_cfg in runs] for runs in cells]
+    out = _outdir(cfg.out)
     rows = []
-    for runs in cells:
+    for runs in built:
         cell = []
-        for run_cfg in runs:
+        for run_cfg, spec, cert in runs:
             alpha_sigma, alpha_s, alpha_r = run_cfg.alpha_sigma, run_cfg.alpha_s, run_cfg.alpha_r
-            spec, cert = build_spec(run_cfg)
             stats, _ = ensemble(
                 spec, cert, t_end=cfg.t_end, h=cfg.h,
                 record_stride=cfg.record_stride, count=cfg.count,
@@ -178,7 +189,6 @@ def cmd_rates(args) -> int:
         rows.extend(cell)
     header = ["alpha_sigma", "alpha_s", "alpha_r", "slope", "stderr",
               "predicted_slope", "bound_slope", "best_in_cell"]
-    out = _outdir(cfg)
     path = out / "rates.csv"
     write_csv(path, header, [[r[k] for r in rows] for k in header])
     write_manifest(out / "manifest.txt", cfg, "rates", {"rows": len(rows)})
@@ -204,9 +214,10 @@ def cmd_compare(args) -> int:
         cfg, system_kind="samd", alpha_s=choice.alpha_s, alpha_r="auto"
     )
     _check_fit_window(cfg)
+    specs = {"smd": build_spec(smd_cfg), "samd": build_spec(samd_cfg)}
+    out = _outdir(cfg.out)
     results, fits = {}, {}
-    for label, run_cfg in (("smd", smd_cfg), ("samd", samd_cfg)):
-        spec, cert = build_spec(run_cfg)
+    for label, (spec, cert) in specs.items():
         stats, _ = ensemble(
             spec, cert, t_end=cfg.t_end, h=cfg.h, record_stride=cfg.record_stride,
             count=cfg.count, base_seed=cfg.seed,
@@ -214,7 +225,6 @@ def cmd_compare(args) -> int:
         results[label] = stats
         fits[label] = fit_rate_exponent(stats.times, stats.mean_gap,
                                         default_fit_window(cfg.t_end))
-    out = _outdir(cfg)
     path = out / "compare.csv"
     smd, samd = results["smd"], results["samd"]
     write_csv(path, ["t", "mean_gap_smd", "std_gap_smd", "mean_gap_samd", "std_gap_samd"],
@@ -235,16 +245,15 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError("seed must be >= 0")
-    names = args.checks or None
+    names = check_names(args.checks)
+    out = _outdir(args.out) if args.out else None
     verifier = Verifier(
         base_seed=args.seed if args.seed is not None else presets.DEFAULT_BASE_SEED
     )
     results = verifier.run(names)
     for res in results:
         print(res.line())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         report = out / "verify.txt"
         report.write_text("".join(res.line() + "\n" for res in results))
         print(f"wrote {report}")

@@ -17,17 +17,25 @@ sigma_star does not depend on the path), and the running Ito integral of
 <V, dB> with V = -eta sigma^T (mirror - x*), using the same Gaussian
 increments as the dual update: the step adds each increment on Python
 floats, left to right, so the integral takes no BLAS dot.
+
+The step works on lists of Python floats. Below `maps.PAIRWISE_MIN` (8)
+coordinates, where every sum runs left to right, `bind_step` generates it
+as straight-line code for the spec, with one local float per coordinate:
+the same operations in the same order, so the same bits, at about half the
+cost. A process compiles each distinct generated source once and keeps
+the 64 it used last.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
-from .maps import EuclideanMap, MirrorMap
+from .maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap, MirrorMap
 from .noise import NoiseModel, NoiseStream, ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, Objective
 from .schedules import (CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible,
@@ -174,7 +182,127 @@ def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
     arithmetic rounds as numpy's elementwise operations do; numpy computes
     only what Python would round otherwise: the objective's gradient, exp
     and `row_sum`'s sums of many coordinates. The step never modifies a list
-    in place, so it may return (and the caller may keep) its inputs."""
+    in place, so it may return (and the caller may keep) its inputs.
+
+    Below PAIRWISE_MIN coordinates, where every sum runs left to right, the
+    step is generated as straight-line code (`_step_source`): one local
+    float per coordinate, the same operations in the same order, so it
+    gives the list step's bits at about half its cost. Its source holds the
+    spec's floats as literals and is compiled once, so binding an equal spec
+    again, or one that differs only in x0 and t0, reuses the code object."""
+    if spec.mmap.dim < PAIRWISE_MIN and isinstance(spec.mmap, (EntropicSimplexMap, EuclideanMap)):
+        make = _compiled_step(_step_source(spec, x_star))
+        return make(spec.objective.gradient, spec.noise.diag, np.exp, np.ndarray)
+    return _list_step(spec, x_star)
+
+
+def _literal(v) -> str:
+    """Source text for the float v, bit for bit: its repr, parenthesised
+    when negative, and through float() when not finite."""
+    text = repr(float(v))
+    if not math.isfinite(v):
+        return f"float({text!r})"
+    return f"({text})" if text.startswith("-") else text
+
+
+def _law_source(law: PowerLaw, at: str) -> str:
+    """Source text for law.value at the time expression `at`, rounding as
+    `_law_closure` does."""
+    if law.exponent == 0.0:
+        return _literal(law.coef)
+    return f"{_literal(law.coef)} * {at} ** {_literal(law.exponent)}"
+
+
+def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
+    """Source of `make(gradient, diag, exp, ndarray) -> advance`, the step
+    of `_list_step` written out for spec's n coordinates: x0.., z0.. the
+    state, g the gradient, m the mirror point, w the increment, d the
+    volatility diagonal, y the new dual. Each list comprehension becomes one
+    expression per coordinate and each sum a chain from 0.0, left to right.
+    The text holds only this template and `_literal`s of the spec's floats."""
+    n = spec.mmap.dim
+    rates = spec.rates
+    entropic = isinstance(spec.mmap, EntropicSimplexMap)
+
+    def each(template: str, sep: str = ", ") -> str:
+        return sep.join(template.replace("#", str(i)) for i in range(n))
+
+    def names(prefix: str) -> str:
+        return each(prefix + "#") + ","
+
+    def assign(prefix: str, template: str) -> str:
+        """One tuple assignment of `template` to the names of `prefix`."""
+        return f"{names(prefix)} = {each(template)},"
+
+    body = [f"{names('x')} = x", f"{names('z')} = z", f"{names('g')} = gradient(x).tolist()"]
+    emit = body.append
+
+    def mirror(src: str, at: str) -> str:
+        """Emit the mirror point of the dual `src` at time `at`; return the
+        prefix of its names."""
+        if rates.s != CONSTANT_ONE:  # z / 1.0 is z exactly
+            emit(f"s = {_law_source(rates.s, at)}")
+            emit(assign("m", src + "# / s"))
+            src = "m"
+        if not entropic:
+            return src
+        emit(f"top = {each(src + '#')}" if n == 1 else f"top = max({each(src + '#')})")
+        emit(f"{names('m')} = exp([{each(src + '# - top')}]).tolist()")
+        emit(f"total = 0.0 + {each('m#', ' + ')}")
+        emit(assign("m", "m# / total"))
+        return "m"
+
+    if spec.kind == "nesterov":
+        emit(f"damping = {_literal(spec.beta + 1.0)} / t")
+        emit(f"return [{each('x# + hk * z#')}], [{each('z# + hk * (-g# - z# * damping)')}], 0.0")
+    else:
+        averaged = spec.kind in AVERAGED_KINDS
+        if averaged:
+            emit(f"eta = {_law_source(rates.eta, 't')}")
+            anchor = mirror("z", "t")
+        else:
+            emit("eta = 1.0")
+            anchor = "x"
+        emit("dmart = 0.0")
+        emit("if dW is None:")
+        emit("    scale = -(eta * hk)")
+        emit("    " + assign("y", "z# + scale * g#"))
+        emit("else:")
+        emit(f"    {names('w')} = dW")
+        emit("    d = diag(x, t)")
+        emit(f"    {names('d')} = d.tolist() if isinstance(d, ndarray) else ({'d, ' * n})")
+        emit("    neg_eta = -eta")
+        emit("    " + assign("y", "z# + neg_eta * (hk * g# + d# * w#)"))
+        if x_star is not None:
+            star = np.asarray(x_star, dtype=float).tolist()
+            terms = " + ".join(f"neg_eta * (d{i} * ({anchor}{i} - {_literal(s)})) * w{i}"
+                               for i, s in enumerate(star))
+            emit(f"    dmart = 0.0 + {terms}")
+        if entropic:
+            emit(f"mean = (0.0 + {each('y#', ' + ')}) / {_literal(n)}")
+            emit(assign("y", "y# - mean"))
+        if averaged:
+            emit(f"pull = {_law_source(rates.a, 't')} * hk")
+            emit(f"return [{each(f'x# + pull * ({anchor}# - x#)')}], [{each('y#')}], dmart")
+        else:
+            x_new = mirror("y", "(t + hk)")
+            emit(f"return [{each(x_new + '#')}], [{each('y#')}], dmart")
+    return "\n".join(["def make(gradient, diag, exp, ndarray):",
+                      "    def advance(x, z, t, hk, dW=None):",
+                      *("        " + line for line in body),
+                      "    return advance", ""])
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled_step(source: str):
+    """The `make` function that `source` defines, compiled once per source."""
+    namespace = {}
+    exec(compile(source, "<generated step>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _list_step(spec: SystemSpec, x_star: np.ndarray | None):
+    """`bind_step`'s step on lists of floats, for any number of coordinates."""
     kind, rates = spec.kind, spec.rates
     gradient = spec.objective.gradient
     mirror, project = spec.mmap.point_functions()

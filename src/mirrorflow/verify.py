@@ -387,9 +387,15 @@ class Verifier:
     # -- dispatch --------------------------------------------------------------
 
     def run(self, names=None) -> list[CheckResult]:
-        names = list(CHECK_NAMES) if not names else list(names)
-        unknown = [n for n in names if n not in CHECK_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown check {', '.join(map(repr, unknown))}; "
-                              f"valid checks: {', '.join(CHECK_NAMES)}")
-        return [getattr(self, "check_" + n.replace("-", "_"))() for n in names]
+        return [getattr(self, "check_" + n.replace("-", "_"))() for n in check_names(names)]
+
+
+def check_names(names=None) -> list[str]:
+    """The checks `names` selects, all of them when empty; raise ConfigError
+    naming any unknown one."""
+    names = list(CHECK_NAMES) if not names else list(names)
+    unknown = [n for n in names if n not in CHECK_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown check {', '.join(map(repr, unknown))}; "
+                          f"valid checks: {', '.join(CHECK_NAMES)}")
+    return names

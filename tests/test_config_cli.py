@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import subprocess
@@ -580,3 +581,31 @@ class TestCli:
             main([command, "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message, work", [
+        (["verify", "gradients", "--out", "F"],
+         f"cannot make the output directory 'F': {os.strerror(errno.EEXIST)}", "Verifier"),
+        (["simulate", "--config", "md.cfg", "--out", "F/sub"],
+         f"cannot make the output directory 'F/sub': {os.strerror(errno.ENOTDIR)}", "simulate"),
+        (["ensemble", "--config", "missing.cfg"],
+         f"cannot read 'missing.cfg': {os.strerror(errno.ENOENT)}", "ensemble"),
+        (["ensemble", "--config", "."], f"cannot read '.': {os.strerror(errno.EISDIR)}",
+         "ensemble"),
+        (["ensemble", "--config", "F.bin"], "cannot read 'F.bin': 'utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte", "ensemble"),
+    ], ids=["verify-out-is-a-file", "out-under-a-file", "missing-config", "config-is-a-dir",
+            "config-not-utf8"])
+    def test_bad_path_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv, message,
+                                        work):
+        def never(*args, **kwargs):
+            raise AssertionError("work ran before the paths were checked")
+
+        monkeypatch.setattr(f"mirrorflow.cli.{work}", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("a file\n")
+        (tmp_path / "F.bin").write_bytes(b"\xff\xfe\n")
+        (tmp_path / "md.cfg").write_text("system.kind = md\nnoise.sigma0 = 0.0\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert sorted(tmp_path.rglob("*")) == before

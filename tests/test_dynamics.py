@@ -247,6 +247,29 @@ class TestSimulateMatchesStepFunctions:
                 assert traj.b[row] == ref_b(spec, 1.0 + (k + 1) * h if k < 700 else t_end)
         assert row == traj.n_recorded - 1
 
+    def test_a_spec_step_is_compiled_once(self, monkeypatch):
+        """`ensemble` binds the step once per trajectory and the APT check
+        once per restart; each binding of one spec reuses one code object,
+        and so does a restart that differs only in x0 and t0."""
+        bound = []
+
+        def recording(spec, x_star=None):
+            bound.append(bind_step(spec, x_star))
+            return bound[-1]
+
+        monkeypatch.setattr("mirrorflow.dynamics.bind_step", recording)
+        spec, cert = make_spec("samd", sigma0=0.1, rates=FIG_RATES)
+        for seed in (1, 2):
+            simulate(spec, cert, t_end=1.1, h=0.01, stream=NoiseStream(seed, 0))
+        assert bound[0] is not bound[1]
+        assert bound[0].__code__ is bound[1].__code__
+
+        restart = dataclasses.replace(spec, x0=np.array([0.2, 0.3, 0.5]),
+                                      z0=np.array([0.1, 0.0, -0.1]),
+                                      rates=dataclasses.replace(spec.rates, t0=2.5))
+        simulate(restart, cert, t_end=2.6, h=0.01, stream=NoiseStream(3, 0))
+        assert bound[2].__code__ is bound[0].__code__
+
 
 class TestDegeneracyAndDeterminism:
     def test_zero_noise_samd_equals_amd_bitwise(self):

@@ -6,6 +6,7 @@ integral's increment added at every step, the energy's dual anchor
 recomputed at every recorded row, and b taken at every recorded row from
 the power-law algebra. The two must agree bit for bit."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from mirrorflow.dynamics import (
     step_count,
 )
 from mirrorflow.maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap
-from mirrorflow.noise import NoiseStream, make_noise
+from mirrorflow.noise import DiagonalPowerLawNoise, NoiseStream, make_noise
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import CONSTANT_ONE, coupled_bundle
 
@@ -251,6 +252,65 @@ def test_samd_on_either_side_of_the_pairwise_sum(n, geometry, noise_kind):
     ref = ref_simulate(spec, cert, t_end, h, 3, NoiseStream(n, 1))
     for name in ("x", "z", "gap", "energy", "b", "martingale"):
         np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
+
+
+def branch_cases():
+    """Every branch of the step below PAIRWISE_MIN coordinates, at n = 1 and
+    n = PAIRWISE_MIN - 1: each kind with each noise model it admits, each
+    map it admits, constant and growing s, and an interior or a boundary
+    certificate. The oscillator's bundle fixes s = 1."""
+    for n in (1, PAIRWISE_MIN - 1):
+        for kind in ("md", "smd", "amd", "samd", "nesterov"):
+            noise_kinds = (("zero", "scalar", "diagonal", "state-scaled")
+                           if kind in ("smd", "samd") else ("zero",))
+            geometries, s_exponents = ((("euclidean",), (0.0,)) if kind == "nesterov"
+                                       else (("simplex", "euclidean"), (0.0, 0.5)))
+            for noise_kind, geometry, alpha_s, boundary in itertools.product(
+                    noise_kinds, geometries, s_exponents, (False, True)):
+                yield pytest.param(n, kind, noise_kind, geometry, alpha_s, boundary,
+                                   id=f"{n}-{kind}-{noise_kind}-{geometry}-s{alpha_s}-"
+                                      + ("boundary" if boundary else "interior"))
+
+
+@pytest.mark.parametrize("n, kind, noise_kind, geometry, alpha_s, boundary", branch_cases())
+def test_every_branch_of_the_short_step_equals_the_reference(n, kind, noise_kind, geometry,
+                                                             alpha_s, boundary):
+    """Below PAIRWISE_MIN coordinates `bind_step` writes the step out
+    coordinate by coordinate; each branch of it equals the reference loop bit
+    for bit, over an inexact span whose last step is clipped."""
+    rng = np.random.default_rng(n)
+    if geometry == "simplex":
+        mmap = EntropicSimplexMap(n)
+        objective = SumExp(rng.uniform(-2.0, 2.0, (2, n)))
+        x0 = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+        x_star = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+        z0, z_star = np.log(x0), mmap.dual_of(x_star)
+    else:
+        mmap = EuclideanMap(n)
+        c = rng.uniform(-1.0, 1.0, n)
+        objective = Rank1Quadratic(c / np.linalg.norm(c))
+        x0 = z0 = rng.uniform(-2.0, 2.0, n)
+        x_star = z_star = rng.uniform(-1.0, 1.0, n)
+    cert = MinimizerCertificate(x_star=x_star, f_star=objective.value(x_star),
+                                z_star=None if boundary else z_star, boundary=boundary,
+                                residual=0.0, method="drawn")
+    beta = 3.0 if kind == "nesterov" else None
+    rates = {"md": md_bundle(alpha_s), "smd": md_bundle(alpha_s),
+             "amd": coupled_bundle(1.5, alpha_s), "samd": coupled_bundle(1.5, alpha_s),
+             "nesterov": nesterov_bundle(3.0)}[kind]
+    # distinct per-coordinate volatilities, which make_noise's diagonal model lacks
+    noise = (DiagonalPowerLawNoise(rng.uniform(0.1, 0.3, n), np.full(n, -0.1))
+             if noise_kind == "diagonal" else make_noise(noise_kind, 0.2, -0.1, mmap))
+    spec = SystemSpec(kind=kind, mmap=mmap, objective=objective, rates=rates, noise=noise,
+                      x0=x0, z0=np.zeros(n) if kind == "nesterov" else z0, beta=beta)
+    h, t_end = 0.01, 1.0 + 40.5 * 0.01
+    traj = simulate(spec, cert, t_end, h, record_stride=1, stream=NoiseStream(n, 2))
+    ref = ref_simulate(spec, cert, t_end, h, 1, NoiseStream(n, 2))
+    for name in ("x", "z", "gap", "energy", "b", "martingale"):
+        got = getattr(traj, name)
+        assert (got is None) == (ref[name] is None), name
+        if got is not None:
+            np.testing.assert_array_equal(got, ref[name], err_msg=name)
 
 
 def test_covariation_draws_the_per_step_sequence():
