@@ -18,12 +18,12 @@ sigma_star does not depend on the path), and the running Ito integral of
 increments as the dual update: the step adds each increment on Python
 floats, left to right, so the integral takes no BLAS dot.
 
-The step works on lists of Python floats. Below `maps.PAIRWISE_MIN` (8)
-coordinates, where every sum runs left to right, `bind_step` generates it
-as straight-line code for the spec, with one local float per coordinate:
-the same operations in the same order, so the same bits, at about half the
-cost. A process compiles each distinct generated source once and keeps
-the 64 it used last.
+The step works on Python floats. `bind_step` generates it as straight-line
+code for the spec, with one local float per coordinate, at every n. The
+map's sums take numpy's order: left to right below `maps.PAIRWISE_MIN`
+(8) coordinates, pairwise through `maps.row_sum` from there on. A process
+compiles each distinct generated source once and keeps the 64 it used
+last.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
-from .maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap, MirrorMap
+from .maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap, MirrorMap, row_sum
 from .noise import NoiseModel, NoiseStream, ZeroNoise, make_noise
 from .objectives import MinimizerCertificate, Objective
 from .schedules import (CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible,
@@ -153,16 +153,6 @@ def _law_at(law: PowerLaw, t) -> np.ndarray:
     return np.fromiter(values, dtype=float, count=t.size).reshape(t.shape)
 
 
-def _law_closure(law: PowerLaw):
-    """law.value as a closure over one step time, without the t > 0 check
-    (step times start at t0 > 0). A constant law returns its coefficient:
-    coef * t**0.0 is coef exactly."""
-    coef, exponent = law.coef, law.exponent
-    if exponent == 0.0:
-        return lambda t: coef
-    return lambda t: coef * t**exponent
-
-
 def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
     """The step of `spec`'s flow with its objective, map, rates and noise
     bound once: advance(x, z, t, hk, dW) -> (x_new, z_new, dmart).
@@ -178,22 +168,20 @@ def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
     (-eta * (d_i * (anchor_i - x_star_i))) * dW_i, with d sigma's diagonal,
     added left to right from 0.0. It is 0.0 without noise or x_star.
 
-    States, increments and the anchor are lists of Python floats, whose
-    arithmetic rounds as numpy's elementwise operations do; numpy computes
-    only what Python would round otherwise: the objective's gradient, exp
-    and `row_sum`'s sums of many coordinates. The step never modifies a list
-    in place, so it may return (and the caller may keep) its inputs.
+    States and increments are lists of Python floats, and the step computes
+    on Python floats, whose arithmetic rounds as numpy's elementwise
+    operations do; numpy computes only what Python would round otherwise:
+    the objective's gradient, exp and `row_sum`'s sums of PAIRWISE_MIN or
+    more coordinates. The step never modifies a list in place, so it may
+    return (and the caller may keep) its inputs.
 
-    Below PAIRWISE_MIN coordinates, where every sum runs left to right, the
-    step is generated as straight-line code (`_step_source`): one local
-    float per coordinate, the same operations in the same order, so it
-    gives the list step's bits at about half its cost. Its source holds the
-    spec's floats as literals and is compiled once, so binding an equal spec
-    again, or one that differs only in x0 and t0, reuses the code object."""
-    if spec.mmap.dim < PAIRWISE_MIN and isinstance(spec.mmap, (EntropicSimplexMap, EuclideanMap)):
-        make = _compiled_step(_step_source(spec, x_star))
-        return make(spec.objective.gradient, spec.noise.diag, np.exp, np.ndarray)
-    return _list_step(spec, x_star)
+    The step is generated as straight-line code for the spec
+    (`_step_source`), with one local float per coordinate. Its source holds
+    the spec's floats as literals and is compiled once, so binding an equal
+    spec again, or one that differs only in x0 and t0, reuses the code
+    object."""
+    make = _compiled_step(_step_source(spec, x_star))
+    return make(spec.objective.gradient, spec.noise.diag, np.exp, np.ndarray, row_sum)
 
 
 def _literal(v) -> str:
@@ -206,20 +194,25 @@ def _literal(v) -> str:
 
 
 def _law_source(law: PowerLaw, at: str) -> str:
-    """Source text for law.value at the time expression `at`, rounding as
-    `_law_closure` does."""
+    """Source text for law.value at the time expression `at`, without the
+    t > 0 check (step times start at t0 > 0). A constant law is its
+    coefficient: coef * t**0.0 is coef exactly."""
     if law.exponent == 0.0:
         return _literal(law.coef)
     return f"{_literal(law.coef)} * {at} ** {_literal(law.exponent)}"
 
 
 def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
-    """Source of `make(gradient, diag, exp, ndarray) -> advance`, the step
-    of `_list_step` written out for spec's n coordinates: x0.., z0.. the
+    """Source of `make(gradient, diag, exp, ndarray, row_sum) -> advance`,
+    `bind_step`'s step written out for spec's n coordinates: x0.., z0.. the
     state, g the gradient, m the mirror point, w the increment, d the
-    volatility diagonal, y the new dual. Each list comprehension becomes one
-    expression per coordinate and each sum a chain from 0.0, left to right.
-    The text holds only this template and `_literal`s of the spec's floats."""
+    volatility diagonal, y the new dual. Each coordinate's update is one
+    expression. The softmax total and the projection's mean take
+    `np.add.reduce`'s order: a chain from 0.0 below PAIRWISE_MIN
+    coordinates, `row_sum` from there on. The Ito increment is added one
+    coordinate per statement, left to right from 0.0, so no expression
+    nests deeper as n grows. The text holds only this template and `_literal`s of the
+    spec's floats."""
     n = spec.mmap.dim
     rates = spec.rates
     entropic = isinstance(spec.mmap, EntropicSimplexMap)
@@ -233,6 +226,12 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
     def assign(prefix: str, template: str) -> str:
         """One tuple assignment of `template` to the names of `prefix`."""
         return f"{names(prefix)} = {each(template)},"
+
+    def total(prefix: str) -> str:
+        """The sum of the names of `prefix`, with the bits of `row_sum`."""
+        if n < PAIRWISE_MIN:
+            return f"(0.0 + {each(prefix + '#', ' + ')})"
+        return f"row_sum([{each(prefix + '#')}])"
 
     body = [f"{names('x')} = x", f"{names('z')} = z", f"{names('g')} = gradient(x).tolist()"]
     emit = body.append
@@ -248,7 +247,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
             return src
         emit(f"top = {each(src + '#')}" if n == 1 else f"top = max({each(src + '#')})")
         emit(f"{names('m')} = exp([{each(src + '# - top')}]).tolist()")
-        emit(f"total = 0.0 + {each('m#', ' + ')}")
+        emit(f"total = {total('m')}")
         emit(assign("m", "m# / total"))
         return "m"
 
@@ -275,11 +274,10 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
         emit("    " + assign("y", "z# + neg_eta * (hk * g# + d# * w#)"))
         if x_star is not None:
             star = np.asarray(x_star, dtype=float).tolist()
-            terms = " + ".join(f"neg_eta * (d{i} * ({anchor}{i} - {_literal(s)})) * w{i}"
-                               for i, s in enumerate(star))
-            emit(f"    dmart = 0.0 + {terms}")
+            body.extend(f"    dmart += neg_eta * (d{i} * ({anchor}{i} - {_literal(s)})) * w{i}"
+                        for i, s in enumerate(star))
         if entropic:
-            emit(f"mean = (0.0 + {each('y#', ' + ')}) / {_literal(n)}")
+            emit(f"mean = {total('y')} / {_literal(n)}")
             emit(assign("y", "y# - mean"))
         if averaged:
             emit(f"pull = {_law_source(rates.a, 't')} * hk")
@@ -287,7 +285,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
         else:
             x_new = mirror("y", "(t + hk)")
             emit(f"return [{each(x_new + '#')}], [{each('y#')}], dmart")
-    return "\n".join(["def make(gradient, diag, exp, ndarray):",
+    return "\n".join(["def make(gradient, diag, exp, ndarray, row_sum):",
                       "    def advance(x, z, t, hk, dW=None):",
                       *("        " + line for line in body),
                       "    return advance", ""])
@@ -299,69 +297,6 @@ def _compiled_step(source: str):
     namespace = {}
     exec(compile(source, "<generated step>", "exec"), namespace)
     return namespace["make"]
-
-
-def _list_step(spec: SystemSpec, x_star: np.ndarray | None):
-    """`bind_step`'s step on lists of floats, for any number of coordinates."""
-    kind, rates = spec.kind, spec.rates
-    gradient = spec.objective.gradient
-    mirror, project = spec.mmap.point_functions()
-    diag = spec.noise.diag
-    averaged = kind in AVERAGED_KINDS
-    eta_at, a_at = _law_closure(rates.eta), _law_closure(rates.a)
-    if rates.s == CONSTANT_ONE:  # z / 1.0 is z exactly
-        def mirror_at(z, t):
-            return mirror(z)
-    else:
-        s_at = _law_closure(rates.s)
-
-        def mirror_at(z, t):
-            s = s_at(t)
-            return mirror([v / s for v in z])
-
-    if kind == "nesterov":
-        friction = spec.beta + 1.0
-
-        def advance(x, z, t, hk, dW=None):
-            damping = friction / t
-            dz = [hk * (-g - v * damping) for g, v in zip(gradient(x).tolist(), z)]
-            return ([u + hk * v for u, v in zip(x, z)], project([v + dv for v, dv in zip(z, dz)]),
-                    0.0)
-
-        return advance
-
-    star = None if x_star is None else np.asarray(x_star, dtype=float).tolist()
-
-    def advance(x, z, t, hk, dW=None):
-        g = gradient(x).tolist()
-        if averaged:
-            eta = eta_at(t)
-            anchor = mirror_at(z, t)
-        else:
-            eta = 1.0
-            anchor = x
-        dmart = 0.0
-        # the scalar factor carries the sign: exact, and one operation fewer
-        if dW is None:
-            scale = -(eta * hk)
-            dz = [scale * gi for gi in g]
-        else:
-            d = diag(x, t)  # a scalar, or one volatility per coordinate
-            ds = d.tolist() if isinstance(d, np.ndarray) else [d] * len(g)
-            neg_eta = -eta
-            dz = [neg_eta * (hk * gi + di * w) for gi, di, w in zip(g, ds, dW)]
-            if star is not None:  # not `sum`, which compensates from Python 3.12
-                for di, m, s, w in zip(ds, anchor, star, dW):
-                    dmart += (neg_eta * (di * (m - s))) * w
-        z_new = project([v + dv for v, dv in zip(z, dz)])
-        if averaged:
-            pull = a_at(t) * hk
-            x_new = [u + pull * (m - u) for u, m in zip(x, anchor)]
-        else:
-            x_new = mirror_at(z_new, t + hk)
-        return x_new, z_new, dmart
-
-    return advance
 
 
 @dataclass

@@ -159,7 +159,8 @@ def vectors(n, lo, hi):
 def runs(draw):
     """A run of any kind, noise model, map and span, at n from 1 to 50.
     The euclidean map gets a unit-scale rank-one quadratic, so explicit
-    Euler stays stable at the drawn steps."""
+    Euler stays stable at the drawn steps; diagonal noise gets a volatility
+    per coordinate."""
     kind = draw(st.sampled_from(["md", "smd", "amd", "samd", "nesterov"]))
     n = draw(st.integers(1, 50))
     euclid = kind == "nesterov" or draw(st.booleans())
@@ -188,7 +189,13 @@ def runs(draw):
     noise_kind = "zero"
     if kind in ("smd", "samd"):
         noise_kind = draw(st.sampled_from(["zero", "scalar", "diagonal", "state-scaled"]))
-    noise = make_noise(noise_kind, draw(finite(0.01, 1.0)), draw(finite(-0.5, 0.45)), mmap)
+    sigma0, alpha = draw(finite(0.01, 1.0)), draw(finite(-0.5, 0.45))
+    if noise_kind == "diagonal":
+        # distinct per-coordinate volatilities: equal ones hide a diagonal
+        # read in the wrong coordinate order
+        noise = DiagonalPowerLawNoise(draw(vectors(n, 0.01, 1.0)), np.full(n, alpha))
+    else:
+        noise = make_noise(noise_kind, sigma0, alpha, mmap)
     h = draw(finite(0.005, 0.05))
     if kind == "nesterov":
         beta = draw(finite(2.0, 5.0))
@@ -223,6 +230,23 @@ def test_simulate_equals_the_per_step_reference_bitwise(run):
     assert stream.position == (spec.mmap.dim * n_steps if spec.is_stochastic else 0)
 
 
+def fixed_instance(n, geometry, rng):
+    """(map, objective, x0, z0, x*, z*) of n coordinates drawn from rng: a
+    two-row SumExp on the simplex, or a unit rank-one quadratic on the
+    euclidean map."""
+    if geometry == "simplex":
+        mmap = EntropicSimplexMap(n)
+        objective = SumExp(rng.uniform(-2.0, 2.0, (2, n)))
+        x0 = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+        x_star = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+        return mmap, objective, x0, np.log(x0), x_star, mmap.dual_of(x_star)
+    mmap = EuclideanMap(n)
+    c = rng.uniform(-1.0, 1.0, n)
+    x0 = rng.uniform(-2.0, 2.0, n)
+    x_star = rng.uniform(-1.0, 1.0, n)
+    return mmap, Rank1Quadratic(c / np.linalg.norm(c)), x0, x0, x_star, x_star
+
+
 @pytest.mark.parametrize("noise_kind", ["scalar", "diagonal"])
 @pytest.mark.parametrize("geometry", ["simplex", "euclidean"])
 @pytest.mark.parametrize("n", [PAIRWISE_MIN - 1, PAIRWISE_MIN])
@@ -255,11 +279,12 @@ def test_samd_on_either_side_of_the_pairwise_sum(n, geometry, noise_kind):
 
 
 def branch_cases():
-    """Every branch of the step below PAIRWISE_MIN coordinates, at n = 1 and
-    n = PAIRWISE_MIN - 1: each kind with each noise model it admits, each
-    map it admits, constant and growing s, and an interior or a boundary
-    certificate. The oscillator's bundle fixes s = 1."""
-    for n in (1, PAIRWISE_MIN - 1):
+    """Every branch of the generated step on either side of the pairwise
+    sum, at n = 1, PAIRWISE_MIN - 1 and PAIRWISE_MIN: each kind with each
+    noise model it admits, each map it admits, constant and growing s, and
+    an interior or a boundary certificate. The oscillator's bundle fixes
+    s = 1."""
+    for n in (1, PAIRWISE_MIN - 1, PAIRWISE_MIN):
         for kind in ("md", "smd", "amd", "samd", "nesterov"):
             noise_kinds = (("zero", "scalar", "diagonal", "state-scaled")
                            if kind in ("smd", "samd") else ("zero",))
@@ -275,22 +300,12 @@ def branch_cases():
 @pytest.mark.parametrize("n, kind, noise_kind, geometry, alpha_s, boundary", branch_cases())
 def test_every_branch_of_the_short_step_equals_the_reference(n, kind, noise_kind, geometry,
                                                              alpha_s, boundary):
-    """Below PAIRWISE_MIN coordinates `bind_step` writes the step out
-    coordinate by coordinate; each branch of it equals the reference loop bit
-    for bit, over an inexact span whose last step is clipped."""
+    """`bind_step` writes the step out coordinate by coordinate, its sums
+    as chains below PAIRWISE_MIN coordinates and through `row_sum` from
+    there on; each branch of it equals the reference loop bit for bit, over
+    an inexact span whose last step is clipped."""
     rng = np.random.default_rng(n)
-    if geometry == "simplex":
-        mmap = EntropicSimplexMap(n)
-        objective = SumExp(rng.uniform(-2.0, 2.0, (2, n)))
-        x0 = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
-        x_star = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
-        z0, z_star = np.log(x0), mmap.dual_of(x_star)
-    else:
-        mmap = EuclideanMap(n)
-        c = rng.uniform(-1.0, 1.0, n)
-        objective = Rank1Quadratic(c / np.linalg.norm(c))
-        x0 = z0 = rng.uniform(-2.0, 2.0, n)
-        x_star = z_star = rng.uniform(-1.0, 1.0, n)
+    mmap, objective, x0, z0, x_star, z_star = fixed_instance(n, geometry, rng)
     cert = MinimizerCertificate(x_star=x_star, f_star=objective.value(x_star),
                                 z_star=None if boundary else z_star, boundary=boundary,
                                 residual=0.0, method="drawn")
@@ -311,6 +326,25 @@ def test_every_branch_of_the_short_step_equals_the_reference(n, kind, noise_kind
         assert (got is None) == (ref[name] is None), name
         if got is not None:
             np.testing.assert_array_equal(got, ref[name], err_msg=name)
+
+
+def test_the_step_compiles_and_equals_the_reference_at_4000_coordinates():
+    """CPython cannot compile one expression that chains some thousands of
+    additions, so the generated step keeps every sum out of such a chain;
+    at 4,000 coordinates it still equals the reference loop bit for bit."""
+    n = 4000
+    rng = np.random.default_rng(n)
+    mmap, objective, x0, z0, x_star, z_star = fixed_instance(n, "simplex", rng)
+    cert = MinimizerCertificate(x_star=x_star, f_star=objective.value(x_star), z_star=z_star,
+                                boundary=False, residual=0.0, method="drawn")
+    noise = DiagonalPowerLawNoise(rng.uniform(0.1, 0.3, n), np.full(n, -0.1))
+    spec = SystemSpec(kind="samd", mmap=mmap, objective=objective,
+                      rates=coupled_bundle(1.0, 0.5), noise=noise, x0=x0, z0=z0)
+    t_end = 1.0 + 3 * 0.01
+    traj = simulate(spec, cert, t_end, 0.01, record_stride=1, stream=NoiseStream(n, 1))
+    ref = ref_simulate(spec, cert, t_end, 0.01, 1, NoiseStream(n, 1))
+    for name in ("x", "z", "gap", "energy", "b", "martingale"):
+        np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
 
 
 def test_covariation_draws_the_per_step_sequence():
