@@ -19,11 +19,16 @@ increments as the dual update: the step adds each increment on Python
 floats, left to right, so the integral takes no BLAS dot.
 
 The step works on Python floats. `bind_step` generates it as straight-line
-code for the spec, with one local float per coordinate, at every n. The
-map's sums take numpy's order: left to right below `maps.PAIRWISE_MIN`
-(8) coordinates, pairwise through `maps.row_sum` from there on. A process
-compiles each distinct generated source once and keeps the 64 it used
-last.
+code for the spec, with one local float per coordinate, at every n. Its
+sums take numpy's order: left to right below `maps.PAIRWISE_MIN` (8)
+terms, pairwise through `maps.row_sum` from there on. Below 8 coordinates
+(and, for a sum of exponentials, below 8 rows) the objective's gradient is
+float code too, and with the softmax's `math.exp` the step calls no numpy
+arithmetic but the noise model's `diag`: with zero or scalar noise its bits
+depend on libm's exp alone, not on a BLAS kernel or numpy's SIMD dispatch.
+From 8 on, the gradient is `Objective.gradient`'s numpy arithmetic. A
+process compiles each distinct generated source once and keeps the 64 it
+used last.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
 from .maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap, MirrorMap, row_sum
 from .noise import NoiseModel, NoiseStream, ZeroNoise, make_noise
-from .objectives import MinimizerCertificate, Objective
+from .objectives import MinimizerCertificate, Objective, Rank1Quadratic, SumExp
 from .schedules import (CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible,
                         noise_integral)
 
@@ -170,10 +175,11 @@ def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
 
     States and increments are lists of Python floats, and the step computes
     on Python floats, whose arithmetic rounds as numpy's elementwise
-    operations do; numpy computes only what Python would round otherwise:
-    the objective's gradient, exp and `row_sum`'s sums of PAIRWISE_MIN or
-    more coordinates. The step never modifies a list in place, so it may
-    return (and the caller may keep) its inputs.
+    operations do, with `math.exp` for every exponential. numpy computes
+    only the sums of PAIRWISE_MIN or more terms (`row_sum`), the objective's
+    gradient from PAIRWISE_MIN coordinates or rows on, and the diagonal and
+    state-scaled noise models' `diag`. The step never modifies a list in
+    place, so it may return (and the caller may keep) its inputs.
 
     The step is generated as straight-line code for the spec
     (`_step_source`), with one local float per coordinate. Its source holds
@@ -181,7 +187,16 @@ def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
     spec again, or one that differs only in x0 and t0, reuses the code
     object."""
     make = _compiled_step(_step_source(spec, x_star))
-    return make(spec.objective.gradient, spec.noise.diag, np.exp, np.ndarray, row_sum)
+    return make(spec.objective.gradient, spec.noise.diag, math.exp, _exp_or_inf, np.ndarray,
+                row_sum)
+
+
+def _exp_or_inf(v: float) -> float:
+    """math.exp(v), or inf where it overflows, as np.exp gives."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _literal(v) -> str:
@@ -202,17 +217,49 @@ def _law_source(law: PowerLaw, at: str) -> str:
     return f"{_literal(law.coef)} * {at} ** {_literal(law.exponent)}"
 
 
+def _gradient_source(objective: Objective, n: int) -> list[str]:
+    """Statements that set g0.. to the objective's gradient at x0..: float
+    code when each of its sums has fewer than PAIRWISE_MIN terms, so they
+    run left to right from 0.0, and `gradient(x)` otherwise. For SumExp
+    that is u_i = <c_i, x>, e_i = exp(u_i) and g_j = sum_i e_i c_ij, for
+    Rank1Quadratic u = <c, x> and g_j = u c_j, the coefficients literals.
+    An exponential that overflows is inf, as in `gradient`."""
+    names = ", ".join(f"g{j}" for j in range(n)) + ","
+
+    def chain(terms) -> str:
+        return "0.0 + " + " + ".join(terms)
+
+    if isinstance(objective, SumExp) and max(objective.coefficients.shape) < PAIRWISE_MIN:
+        C = objective.coefficients.tolist()
+        rows = range(len(C))
+        exps = ", ".join(f"e{i}" for i in rows) + ","
+        return [*(f"u{i} = {chain(f'{_literal(c)} * x{j}' for j, c in enumerate(C[i]))}"
+                  for i in rows),
+                "try:",
+                f"    {exps} = {', '.join(f'exp(u{i})' for i in rows)},",
+                "except OverflowError:",
+                f"    {exps} = {', '.join(f'exp_or_inf(u{i})' for i in rows)},",
+                f"{names} = " + ", ".join(chain(f"e{i} * {_literal(C[i][j])}" for i in rows)
+                                          for j in range(n)) + ","]
+    if isinstance(objective, Rank1Quadratic) and n < PAIRWISE_MIN:
+        c = objective.c.tolist()
+        return [f"u = {chain(f'{_literal(cj)} * x{j}' for j, cj in enumerate(c))}",
+                f"{names} = " + ", ".join(f"u * {_literal(cj)}" for cj in c) + ","]
+    return [f"{names} = gradient(x).tolist()"]
+
+
 def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
-    """Source of `make(gradient, diag, exp, ndarray, row_sum) -> advance`,
-    `bind_step`'s step written out for spec's n coordinates: x0.., z0.. the
-    state, g the gradient, m the mirror point, w the increment, d the
-    volatility diagonal, y the new dual. Each coordinate's update is one
-    expression. The softmax total and the projection's mean take
+    """Source of `make(gradient, diag, exp, exp_or_inf, ndarray, row_sum)
+    -> advance`, `bind_step`'s step written out for spec's n coordinates:
+    x0.., z0.. the state, g the gradient (`_gradient_source`), m the mirror
+    point, w the increment, d the volatility diagonal, y the new dual. Each
+    coordinate's update is one expression. The softmax takes one exp(m_i -
+    top) per coordinate; its total and the projection's mean take
     `np.add.reduce`'s order: a chain from 0.0 below PAIRWISE_MIN
     coordinates, `row_sum` from there on. The Ito increment is added one
     coordinate per statement, left to right from 0.0, so no expression
-    nests deeper as n grows. The text holds only this template and `_literal`s of the
-    spec's floats."""
+    nests deeper as n grows. The text holds only this template and
+    `_literal`s of the spec's floats."""
     n = spec.mmap.dim
     rates = spec.rates
     entropic = isinstance(spec.mmap, EntropicSimplexMap)
@@ -233,7 +280,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
             return f"(0.0 + {each(prefix + '#', ' + ')})"
         return f"row_sum([{each(prefix + '#')}])"
 
-    body = [f"{names('x')} = x", f"{names('z')} = z", f"{names('g')} = gradient(x).tolist()"]
+    body = [f"{names('x')} = x", f"{names('z')} = z", *_gradient_source(spec.objective, n)]
     emit = body.append
 
     def mirror(src: str, at: str) -> str:
@@ -246,7 +293,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
         if not entropic:
             return src
         emit(f"top = {each(src + '#')}" if n == 1 else f"top = max({each(src + '#')})")
-        emit(f"{names('m')} = exp([{each(src + '# - top')}]).tolist()")
+        emit(assign("m", f"exp({src}# - top)"))
         emit(f"total = {total('m')}")
         emit(assign("m", "m# / total"))
         return "m"
@@ -285,7 +332,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
         else:
             x_new = mirror("y", "(t + hk)")
             emit(f"return [{each(x_new + '#')}], [{each('y#')}], dmart")
-    return "\n".join(["def make(gradient, diag, exp, ndarray, row_sum):",
+    return "\n".join(["def make(gradient, diag, exp, exp_or_inf, ndarray, row_sum):",
                       "    def advance(x, z, t, hk, dW=None):",
                       *("        " + line for line in body),
                       "    return advance", ""])

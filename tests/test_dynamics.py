@@ -79,21 +79,27 @@ class TestSingleSteps:
         dW = np.array([0.03, -0.01, 0.02]) if noisy else None
         x_star = np.array([0.4, 0.3, 0.3])
         x1, z1, dmart = bind_step(spec, x_star)(spec.x0, spec.z0, t, h, dW)
-        # independent arithmetic; eta = 1 for every kind here
-        g = np.exp(obj.coefficients @ spec.x0) @ obj.coefficients
+        # independent arithmetic, with math.exp as the step takes it; eta = 1
+        # for every kind here
+        C = obj.coefficients
+        g = np.array([math.exp(u) for u in (C @ spec.x0).tolist()]) @ C
+
+        def mirror(v):
+            top = max(v.tolist())
+            e = np.array([math.exp(u - top) for u in v.tolist()])
+            return e / e.sum()
+
         dz_expect = -h * g - (0.1 * dW if noisy else 0.0)
         z_expect = spec.z0 + dz_expect
         z_expect = z_expect - z_expect.mean()
         # the Ito integrand's anchor: the time-t mirror point, x0 for md/smd
         anchor = spec.x0
         if kind == "samd":
-            e = np.exp(spec.z0 / 1.0 - np.max(spec.z0 / 1.0))
-            anchor = e / e.sum()
+            anchor = mirror(spec.z0 / 1.0)
             x_expect = spec.x0 + (1.0 * h) * (anchor - spec.x0)
         else:
             s_next = (t + h) ** 0.5
-            e = np.exp(z_expect / s_next - np.max(z_expect / s_next))
-            x_expect = e / e.sum()
+            x_expect = mirror(z_expect / s_next)
         np.testing.assert_allclose(z1, z_expect, atol=1e-14)
         np.testing.assert_allclose(x1, x_expect, atol=1e-14)
         if noisy:
@@ -103,6 +109,19 @@ class TestSingleSteps:
             assert sigma_star**2 * h == pytest.approx(0.1**2 * h, rel=1e-14)
         else:
             assert dmart == 0.0
+
+    def test_an_overflowing_exponential_is_inf_not_an_error(self, euclid2):
+        """math.exp raises where np.exp gives inf: the step's gradient still
+        gives inf, so the state turns non-finite, as `gradient`'s would."""
+        obj = SumExp(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        x0 = np.array([1000.0, 0.5])
+        spec = SystemSpec(kind="md", mmap=euclid2, objective=obj, rates=md_bundle(),
+                          noise=ZeroNoise(2), x0=x0, z0=x0)
+        x1, z1, dmart = bind_step(spec)(x0.tolist(), x0.tolist(), 1.0, 0.01)
+        assert not np.isfinite(x1).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(z1, x0 - 0.01 * obj.gradient(x0))
+        assert dmart == 0.0
 
     def test_zero_gradient_relaxes_toward_mirror_point(self, simplex3):
         obj = SumExp(np.zeros((1, 3)))

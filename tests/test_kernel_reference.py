@@ -1,10 +1,10 @@
 """`simulate` against a reference loop kept from the per-step kernel it
 replaced: the same Euler-Maruyama arithmetic, with a fresh
-`standard_normals(n) * sqrt(hk)` draw at every step, the objectives'
-gradients through `@`, the generic numpy reductions in the maps, the Ito
+`standard_normals(n) * sqrt(hk)` draw at every step, the step's gradient
+and softmax taken coordinate by coordinate with `math.exp`, the Ito
 integral's increment added at every step, the energy's dual anchor
-recomputed at every recorded row, and b taken at every recorded row from
-the power-law algebra. The two must agree bit for bit."""
+recomputed at every recorded row with numpy, and b taken at every recorded
+row from the power-law algebra. The two must agree bit for bit."""
 
 import itertools
 import math
@@ -35,7 +35,41 @@ from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import CONSTANT_ONE, coupled_bundle
 
 
+def ref_exp(v):
+    """math.exp(v), or inf where it overflows, as np.exp gives."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def ref_sum(values):
+    """The sum of the floats `values` as the step adds them: left to right
+    from 0.0 below PAIRWISE_MIN terms, pairwise by `np.add.reduce` from
+    there on."""
+    values = list(values)
+    if len(values) >= PAIRWISE_MIN:
+        return float(np.add.reduce(np.array(values)))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def ref_grad_psi_star(mmap, z):
+    """The step's mirror point: on the simplex one math.exp(z_i - max z)
+    per coordinate, each divided by their `ref_sum`."""
+    if isinstance(mmap, EuclideanMap):
+        return np.asarray(z, dtype=float).copy()
+    top = float(np.max(z))
+    e = [ref_exp(v - top) for v in np.asarray(z, dtype=float).tolist()]
+    total = ref_sum(e)
+    return np.array([v / total for v in e])
+
+
+def ref_anchor_point(mmap, z):
+    """The energy's mirror point, with numpy's exp and sum, as
+    `energy_anchor` takes it."""
     if isinstance(mmap, EuclideanMap):
         return np.asarray(z, dtype=float).copy()
     e = np.exp(z - np.max(z))
@@ -56,18 +90,28 @@ def ref_psi_star(mmap, z):
 
 
 def ref_gradient(objective, x):
-    """The objectives' gradients as the per-step kernel computed them."""
+    """The objectives' gradients as the step computes them. Below
+    PAIRWISE_MIN coordinates (and rows) coordinate by coordinate: every sum
+    a `ref_sum` chain, each exponential `ref_exp`. From there on through
+    BLAS, `np.exp(C @ x) @ C` or <c, x> c."""
+    x = np.asarray(x, dtype=float)
     if isinstance(objective, SumExp):
         C = objective.coefficients
-        return np.exp(C @ x) @ C
-    return float(objective.c @ x) * objective.c
+        if max(C.shape) >= PAIRWISE_MIN:
+            return np.exp(C @ x) @ C
+        e = [ref_exp(ref_sum(c * v for c, v in zip(row, x.tolist()))) for row in C.tolist()]
+        return np.array([ref_sum(ei * c for ei, c in zip(e, col)) for col in C.T.tolist()])
+    if x.size >= PAIRWISE_MIN:
+        return float(objective.c @ x) * objective.c
+    u = ref_sum(c * v for c, v in zip(objective.c.tolist(), x.tolist()))
+    return np.array([u * c for c in objective.c.tolist()])
 
 
 def ref_energy(mmap, rates, z_star, gap, z, t):
     s_t = rates.s.value(t)
     zp = z / s_t
     div = (ref_psi_star(mmap, zp) - ref_psi_star(mmap, z_star)
-           - float(ref_grad_psi_star(mmap, z_star) @ (zp - z_star)))
+           - float(ref_anchor_point(mmap, z_star) @ (zp - z_star)))
     return rates.r.value(t) * gap + s_t * div
 
 
@@ -347,6 +391,35 @@ def test_the_step_compiles_and_equals_the_reference_at_4000_coordinates():
         np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
 
 
+@pytest.mark.parametrize("kind", ["md", "samd"])
+@pytest.mark.parametrize("rows", [PAIRWISE_MIN - 1, PAIRWISE_MIN])
+@pytest.mark.parametrize("n", [3, PAIRWISE_MIN - 1])
+def test_sum_exp_on_either_side_of_the_row_threshold(n, rows, kind):
+    """Below PAIRWISE_MIN coordinates the step writes the gradient as float
+    code only while the sum of exponentials has fewer than PAIRWISE_MIN
+    rows, and takes `gradient` from there on; on either side it equals the
+    reference loop bit for bit, over an inexact span whose last step is
+    clipped."""
+    rng = np.random.default_rng(10 * n + rows)
+    mmap = EntropicSimplexMap(n)
+    objective = SumExp(rng.uniform(-2.0, 2.0, (rows, n)))
+    x0 = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+    x_star = mmap.grad_psi_star(rng.uniform(-3.0, 3.0, n))
+    cert = MinimizerCertificate(x_star=x_star, f_star=objective.value(x_star),
+                                z_star=mmap.dual_of(x_star), boundary=False, residual=0.0,
+                                method="drawn")
+    noisy = kind == "samd"
+    spec = SystemSpec(kind=kind, mmap=mmap, objective=objective,
+                      rates=coupled_bundle(1.0, 0.5) if noisy else md_bundle(0.5),
+                      noise=make_noise("scalar" if noisy else "zero", 0.2, -0.1, mmap),
+                      x0=x0, z0=np.log(x0))
+    h, t_end = 0.01, 1.0 + 60.5 * 0.01
+    traj = simulate(spec, cert, t_end, h, record_stride=1, stream=NoiseStream(n, 3))
+    ref = ref_simulate(spec, cert, t_end, h, 1, NoiseStream(n, 3))
+    for name in ("x", "z", "gap", "energy", "b", "martingale"):
+        np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
+
+
 def test_covariation_draws_the_per_step_sequence():
     """The blocked draws of `covariation_check` cross several block
     boundaries and end on a partial block, yet give the numbers of per-step
@@ -400,3 +473,78 @@ def test_martingale_holds_under_a_second_blas_kernel():
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"},
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+DISPATCH_CHILD = """
+import hashlib
+import numpy as np
+from mirrorflow.dynamics import SystemSpec, md_bundle, nesterov_bundle, simulate
+from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
+from mirrorflow.noise import NoiseStream, ZeroNoise, make_noise
+from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic
+from mirrorflow.schedules import coupled_bundle
+from mirrorflow import presets
+
+digest = hashlib.sha256()
+simplex = EntropicSimplexMap(3)
+cert = MinimizerCertificate(x_star=np.array(X_STAR), f_star=0.0, z_star=np.array(Z_STAR),
+                            boundary=False, residual=0.0, method="literal")
+for kind, rates, sigma0 in (("samd", coupled_bundle(1.0, 0.5), 0.1),
+                            ("smd", md_bundle(0.5), 0.1),
+                            ("amd", coupled_bundle(1.0, 0.5), 0.0)):
+    spec = SystemSpec(kind=kind, mmap=simplex, objective=presets.default_sum_exp(),
+                      rates=rates, noise=make_noise("scalar", sigma0, 0.0, simplex),
+                      x0=simplex.barycenter(), z0=np.zeros(3))
+    traj = simulate(spec, cert, 5.0, 1e-2, stream=NoiseStream(7, 0))
+    for part in (traj.x, traj.z, traj.martingale):
+        digest.update(part.tobytes())
+spec = SystemSpec(kind="nesterov", mmap=EuclideanMap(2), objective=Rank1Quadratic(
+                      np.array([1.0, 0.6])), rates=nesterov_bundle(3.0), noise=ZeroNoise(2),
+                  x0=np.array([1.0, -0.5]), z0=np.zeros(2), beta=3.0)
+traj = simulate(spec, MinimizerCertificate(x_star=np.zeros(2), f_star=0.0, z_star=None,
+                                           boundary=True, residual=0.0, method="literal"),
+                5.0, 1e-2)
+digest.update(traj.x.tobytes())
+digest.update(traj.z.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def avx512_targets():
+    """numpy's dispatch targets of AVX-512 that this host enables."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__
+            if __cpu_features__.get(t) and (t.startswith("AVX512") or t == "X86_V4")]
+
+
+@pytest.mark.parametrize("dispatch", ["Prescott", "no-AVX-512"])
+def test_the_short_step_has_one_hash_under_every_dispatch(dispatch):
+    """Below 8 coordinates the step calls no numpy arithmetic, so its x, z
+    and martingale keep their bits under OpenBLAS's Prescott kernels and
+    with numpy's AVX-512 loops disabled: default samd, smd and amd runs and
+    an oscillator run hash alike in a child under either and in a native
+    child. The certificate reaches the children as literals, so the
+    oracle's dispatch does not enter."""
+    env = {}
+    if dispatch == "Prescott":
+        env["OPENBLAS_CORETYPE"] = "Prescott"
+    else:
+        targets = avx512_targets()
+        if not targets:
+            pytest.skip("numpy enables no AVX-512 target on this host")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    cert = presets.certificate_for(presets.default_sum_exp(), EntropicSimplexMap(3))
+    script = (DISPATCH_CHILD.replace("X_STAR", repr(cert.x_star.tolist()))
+              .replace("Z_STAR", repr(cert.z_star.tolist())))
+    src = str(Path(mirrorflow.__file__).resolve().parents[1])
+    digests = []
+    for extra in ({}, env):
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src, **extra},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
