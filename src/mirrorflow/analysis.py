@@ -14,7 +14,7 @@ import numpy as np
 from .dynamics import (AVERAGED_KINDS, DETERMINISTIC_TWIN, SystemSpec, Trajectory, check_run,
                        nearest_index, simulate, write_csv)
 from .errors import BoundaryMinimizer, NonPositiveValues, ShortFitWindow
-from .noise import NoiseStream, StateScaledNoise, ZeroNoise
+from .noise import DiagonalPowerLawNoise, NoiseStream, StateScaledNoise, ZeroNoise
 from .objectives import MinimizerCertificate
 from .schedules import noise_integral
 
@@ -265,20 +265,20 @@ def covariation_check(spec: SystemSpec, certificate: MinimizerCertificate, steps
     else:
         eta0 = 1.0
     noise = spec.noise
-    x0 = np.array(spec.x0, float)
-    t0 = rates.t0
-    d0 = noise.diag(x0, t0)
-    if not np.isscalar(d0):
+    if isinstance(noise, DiagonalPowerLawNoise):
         raise ValueError("scalar noise required for a constant target")
     if isinstance(noise, StateScaledNoise):
         raise ValueError("state-independent noise required for a constant target")
-    if not noise.is_zero and abs(noise.diag(x0, t0 + 1.0) - d0) > 1e-12 * abs(d0):
+    sigma_star = noise.sigma_star_power()
+    if sigma_star is not None and not sigma_star.is_constant:
         raise ValueError("time-constant noise required for a constant target")
-    _, project = spec.mmap.point_functions()
-    scale = (eta0**2) * (float(d0) ** 2) * h
+    # a constant scalar law's coefficient is sigma0 * t**0.0 exactly
+    d0 = 0.0 if sigma_star is None else sigma_star.coef
+    project = spec.mmap.project_point
+    scale = (eta0**2) * (d0**2) * h
     target = scale * np.array([project(row) for row in np.eye(spec.mmap.dim).tolist()])
 
-    zs = simulate(spec, certificate, t0 + steps * h, h, stream=stream).z
+    zs = simulate(spec, certificate, rates.t0 + steps * h, h, stream=stream).z
     zs[0] = project(zs[0].tolist())
     error = np.cov(np.diff(zs, axis=0).T, ddof=1) - target
     diag_err = float(np.abs(np.diag(error)).max())

@@ -21,12 +21,12 @@ floats, left to right, so the integral takes no BLAS dot.
 The step works on Python floats. `bind_step` generates it as straight-line
 code for the spec, with one local float per coordinate, at every n. Its
 sums take numpy's order: left to right below `maps.PAIRWISE_MIN` (8)
-terms, pairwise through `maps.row_sum` from there on. Below 8 coordinates
-(and, for a sum of exponentials, below 8 rows) the objective's gradient is
-float code too, and with the softmax's `math.exp` the step calls no numpy
-arithmetic but the noise model's `diag`: with zero or scalar noise its bits
-depend on libm's exp alone, not on a BLAS kernel or numpy's SIMD dispatch.
-From 8 on, the gradient is `Objective.gradient`'s numpy arithmetic. A
+terms, pairwise through `maps.row_sum` from there on. The noise model's
+sigma is float code at every n, and below 8 coordinates (and, for a sum of
+exponentials, below 8 rows) so is the objective's gradient: with the
+softmax's `math.exp` the step then calls no numpy arithmetic, and its bits
+depend on libm alone, not on a BLAS kernel or numpy's SIMD dispatch. From
+8 on, the gradient is `Objective.gradient`'s numpy arithmetic. A
 process compiles each distinct generated source once and keeps the 64 it
 used last.
 """
@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import InfeasiblePoint, NonFinite, StepTooLarge, StrideTooCoarse
 from .maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap, MirrorMap, row_sum
-from .noise import NoiseModel, NoiseStream, ZeroNoise, make_noise
+from .noise import (DiagonalPowerLawNoise, NoiseModel, NoiseStream, ScalarPowerLawNoise,
+                    StateScaledNoise, ZeroNoise, make_noise)
 from .objectives import MinimizerCertificate, Objective, Rank1Quadratic, SumExp
 from .schedules import (CONSTANT_ONE, PowerLaw, RateBundle, averaging_weight, check_admissible,
                         noise_integral)
@@ -176,10 +177,11 @@ def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
     States and increments are lists of Python floats, and the step computes
     on Python floats, whose arithmetic rounds as numpy's elementwise
     operations do, with `math.exp` for every exponential. numpy computes
-    only the sums of PAIRWISE_MIN or more terms (`row_sum`), the objective's
-    gradient from PAIRWISE_MIN coordinates or rows on, and the diagonal and
-    state-scaled noise models' `diag`. The step never modifies a list in
-    place, so it may return (and the caller may keep) its inputs.
+    only the sums of PAIRWISE_MIN or more terms (`row_sum`) and the
+    objective's gradient from PAIRWISE_MIN coordinates or rows on; sigma is
+    written into the step (`_noise_source`), with `math.tanh` for the
+    state-scaled factor. The step never modifies a list in place, so it may
+    return (and the caller may keep) its inputs.
 
     The step is generated as straight-line code for the spec
     (`_step_source`), with one local float per coordinate. Its source holds
@@ -187,8 +189,7 @@ def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
     spec again, or one that differs only in x0 and t0, reuses the code
     object."""
     make = _compiled_step(_step_source(spec, x_star))
-    return make(spec.objective.gradient, spec.noise.diag, math.exp, _exp_or_inf, np.ndarray,
-                row_sum)
+    return make(spec.objective.gradient, math.exp, _exp_or_inf, math.tanh, row_sum)
 
 
 def _exp_or_inf(v: float) -> float:
@@ -208,13 +209,14 @@ def _literal(v) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _law_source(law: PowerLaw, at: str) -> str:
-    """Source text for law.value at the time expression `at`, without the
-    t > 0 check (step times start at t0 > 0). A constant law is its
-    coefficient: coef * t**0.0 is coef exactly."""
-    if law.exponent == 0.0:
-        return _literal(law.coef)
-    return f"{_literal(law.coef)} * {at} ** {_literal(law.exponent)}"
+def _power_source(coef: float, exponent: float, at: str) -> str:
+    """Source text for coef * at ** exponent at the time expression `at`,
+    as `PowerLaw.value` takes it without the t > 0 check (step times start
+    at t0 > 0). A constant law is its coefficient: coef * t**0.0 is coef
+    exactly."""
+    if exponent == 0.0:
+        return _literal(coef)
+    return f"{_literal(coef)} * {at} ** {_literal(exponent)}"
 
 
 def _gradient_source(objective: Objective, n: int) -> list[str]:
@@ -248,13 +250,38 @@ def _gradient_source(objective: Objective, n: int) -> list[str]:
     return [f"{names} = gradient(x).tolist()"]
 
 
+def _noise_source(noise: NoiseModel, n: int) -> list[str]:
+    """Statements that set d0.. to the diagonal of sigma(x, t) at x0..: the
+    scalar law sigma0 * t ** alpha; for the diagonal model each s0_i times
+    one shared t ** alpha, the bits of s0_i * t ** alpha; for the
+    state-scaled model its base law times 1 + gain * tanh(u), u = <direction,
+    x - center> added one coordinate per statement, left to right from 0.0;
+    0.0 for zero noise. No coefficient passes through a PowerLaw, so a zero
+    volatility is written as any other."""
+    names = ", ".join(f"d{i}" for i in range(n)) + ","
+    if isinstance(noise, DiagonalPowerLawNoise):
+        return [f"tp = t ** {_literal(noise.alphas[0])}",
+                f"{names} = " + ", ".join(f"{_literal(s)} * tp" for s in noise.sigma0s) + ","]
+    if isinstance(noise, ScalarPowerLawNoise):
+        lines = [f"d = {_power_source(noise.sigma0, noise.alpha, 't')}"]
+    elif isinstance(noise, StateScaledNoise):
+        pairs = enumerate(zip(noise.direction.tolist(), noise.center.tolist()))
+        base = _power_source(noise.base.sigma0, noise.base.alpha, "t")
+        lines = ["u = 0.0",
+                 *(f"u += {_literal(v)} * (x{i} - {_literal(c)})" for i, (v, c) in pairs),
+                 f"d = {base} * (1.0 + {_literal(noise.gain)} * tanh(u))"]
+    else:
+        lines = ["d = 0.0"]
+    return [*lines, f"{names} = {'d, ' * n}"]
+
+
 def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
-    """Source of `make(gradient, diag, exp, exp_or_inf, ndarray, row_sum)
-    -> advance`, `bind_step`'s step written out for spec's n coordinates:
-    x0.., z0.. the state, g the gradient (`_gradient_source`), m the mirror
-    point, w the increment, d the volatility diagonal, y the new dual. Each
-    coordinate's update is one expression. The softmax takes one exp(m_i -
-    top) per coordinate; its total and the projection's mean take
+    """Source of `make(gradient, exp, exp_or_inf, tanh, row_sum) ->
+    advance`, `bind_step`'s step written out for spec's n coordinates: x0..,
+    z0.. the state, g the gradient (`_gradient_source`), m the mirror point,
+    w the increment, d the volatility diagonal (`_noise_source`), y the new
+    dual. Each coordinate's update is one expression. The softmax takes one
+    exp(m_i - top) per coordinate; its total and the projection's mean take
     `np.add.reduce`'s order: a chain from 0.0 below PAIRWISE_MIN
     coordinates, `row_sum` from there on. The Ito increment is added one
     coordinate per statement, left to right from 0.0, so no expression
@@ -287,7 +314,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
         """Emit the mirror point of the dual `src` at time `at`; return the
         prefix of its names."""
         if rates.s != CONSTANT_ONE:  # z / 1.0 is z exactly
-            emit(f"s = {_law_source(rates.s, at)}")
+            emit(f"s = {_power_source(rates.s.coef, rates.s.exponent, at)}")
             emit(assign("m", src + "# / s"))
             src = "m"
         if not entropic:
@@ -304,7 +331,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
     else:
         averaged = spec.kind in AVERAGED_KINDS
         if averaged:
-            emit(f"eta = {_law_source(rates.eta, 't')}")
+            emit(f"eta = {_power_source(rates.eta.coef, rates.eta.exponent, 't')}")
             anchor = mirror("z", "t")
         else:
             emit("eta = 1.0")
@@ -315,8 +342,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
         emit("    " + assign("y", "z# + scale * g#"))
         emit("else:")
         emit(f"    {names('w')} = dW")
-        emit("    d = diag(x, t)")
-        emit(f"    {names('d')} = d.tolist() if isinstance(d, ndarray) else ({'d, ' * n})")
+        body.extend("    " + line for line in _noise_source(spec.noise, n))
         emit("    neg_eta = -eta")
         emit("    " + assign("y", "z# + neg_eta * (hk * g# + d# * w#)"))
         if x_star is not None:
@@ -327,12 +353,12 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
             emit(f"mean = {total('y')} / {_literal(n)}")
             emit(assign("y", "y# - mean"))
         if averaged:
-            emit(f"pull = {_law_source(rates.a, 't')} * hk")
+            emit(f"pull = {_power_source(rates.a.coef, rates.a.exponent, 't')} * hk")
             emit(f"return [{each(f'x# + pull * ({anchor}# - x#)')}], [{each('y#')}], dmart")
         else:
             x_new = mirror("y", "(t + hk)")
             emit(f"return [{each(x_new + '#')}], [{each('y#')}], dmart")
-    return "\n".join(["def make(gradient, diag, exp, exp_or_inf, ndarray, row_sum):",
+    return "\n".join(["def make(gradient, exp, exp_or_inf, tanh, row_sum):",
                       "    def advance(x, z, t, hk, dW=None):",
                       *("        " + line for line in body),
                       "    return advance", ""])

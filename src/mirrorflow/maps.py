@@ -113,11 +113,10 @@ class MirrorMap(ABC):
         """Gradient of the conjugate; maps any dual point into the feasible set."""
 
     @abstractmethod
-    def point_functions(self) -> tuple:
-        """(grad_psi_star, projection) for one point held as a list of
-        floats, returning lists with the bits of the array methods. The
-        projection maps a dual point to its canonical representative, which
-        has the same conjugate gradient."""
+    def project_point(self, z: list) -> list:
+        """The canonical representative of the dual point z, held as a list
+        of floats: it has the same conjugate gradient, and its bits are the
+        array arithmetic's (z - z.mean() on the simplex)."""
 
     @abstractmethod
     def dual_of(self, x: np.ndarray) -> np.ndarray:
@@ -187,15 +186,9 @@ class EntropicSimplexMap(MirrorMap):
     def grad_psi_star(self, z: np.ndarray) -> np.ndarray:
         return softmax(np.asarray(z, dtype=float))
 
-    def point_functions(self) -> tuple:
-        dim = self.dim
-
-        def centred(z: list) -> list:
-            # z - z.mean(), bit for bit
-            mean = row_sum(z) / dim
-            return [v - mean for v in z]
-
-        return softmax_point, centred
+    def project_point(self, z: list) -> list:
+        mean = row_sum(z) / self.dim
+        return [v - mean for v in z]
 
     def dual_of(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -254,9 +247,9 @@ class EuclideanMap(MirrorMap):
     def grad_psi_star(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float).copy()
 
-    def point_functions(self) -> tuple:
-        # no copies: the step never modifies a state list in place
-        return _identity, _identity
+    def project_point(self, z: list) -> list:
+        # no copy: callers never modify a point list in place
+        return z
 
     def dual_of(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -279,10 +272,6 @@ class EuclideanMap(MirrorMap):
 
     def support(self, d: np.ndarray) -> float:
         return 0.0 if not np.any(d) else float("inf")
-
-
-def _identity(z: list) -> list:
-    return z
 
 
 def make_map(kind: str, dim: int) -> MirrorMap:

@@ -1,11 +1,13 @@
 """Volatility models for the gradient noise and reproducible Wiener streams.
 
 Every model in the family is diagonal: sigma(x, t) acts coordinate-wise, so
-a run only ever needs the diagonal vector. The sup over the feasible set of
-the induced norm of sigma sigma^T reduces to the largest squared diagonal
-entry, and every model bounds its square root exactly by a power law
-sigma_star(t) = c t^alpha. For the state-scaled model c carries the sup of
-the state factor, taken from the mirror map's support function: it is
+a run only ever needs the diagonal vector. A model holds sigma's
+parameters and its bound, not sigma itself: `dynamics._noise_source` writes
+sigma into the generated step as float code. The sup over the feasible set
+of the induced norm of sigma sigma^T reduces to the largest squared
+diagonal entry, and every model bounds its square root exactly by a power
+law sigma_star(t) = c t^alpha. For the state-scaled model c carries the sup
+of the state factor, taken from the mirror map's support function: it is
 reached at a vertex on the simplex and equals 1 + gain on the euclidean map.
 """
 
@@ -24,10 +26,6 @@ class NoiseModel(ABC):
     """Diagonal volatility sigma(x, t); immutable and shareable."""
 
     dim: int
-
-    @abstractmethod
-    def diag(self, x: np.ndarray, t: float) -> float | np.ndarray:
-        """Diagonal of sigma(x, t); a scalar means a multiple of the identity."""
 
     @abstractmethod
     def sigma_star_power(self) -> PowerLaw | None:
@@ -49,9 +47,6 @@ class ZeroNoise(NoiseModel):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def diag(self, x, t):
-        return 0.0
-
     def sigma_star_power(self) -> None:
         return None
 
@@ -65,9 +60,6 @@ class ScalarPowerLawNoise(NoiseModel):
         self.sigma0 = float(sigma0)
         self.alpha = float(alpha)
         self.dim = int(dim)
-
-    def diag(self, x, t):
-        return self.sigma0 * t**self.alpha
 
     def sigma_star_power(self) -> PowerLaw | None:
         return None if self.sigma0 == 0.0 else PowerLaw(self.sigma0, self.alpha)
@@ -87,9 +79,6 @@ class DiagonalPowerLawNoise(NoiseModel):
         if np.any(self.alphas != self.alphas[0]):
             raise ValueError("alphas must be equal: the sup would switch coordinates over time")
         self.dim = self.sigma0s.shape[0]
-
-    def diag(self, x, t):
-        return self.sigma0s * t**self.alphas
 
     def sigma_star_power(self) -> PowerLaw | None:
         s0 = float(self.sigma0s.max())
@@ -121,12 +110,6 @@ class StateScaledNoise(NoiseModel):
         self.gain = float(gain)
         peak = mmap.support(self.direction) - float(self.direction @ self.center)
         self._factor_sup = 1.0 + self.gain * math.tanh(peak)
-
-    def _factor(self, x: np.ndarray) -> float:
-        return 1.0 + self.gain * math.tanh(float(self.direction @ (x - self.center)))
-
-    def diag(self, x, t):
-        return self.base.diag(x, t) * self._factor(x)
 
     def sigma_star_power(self) -> PowerLaw | None:
         base = self.base.sigma_star_power()

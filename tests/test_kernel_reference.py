@@ -23,6 +23,7 @@ from mirrorflow import presets
 from mirrorflow.analysis import covariation_check
 from mirrorflow.dynamics import (
     SystemSpec,
+    bind_step,
     md_bundle,
     nesterov_bundle,
     record_grid,
@@ -30,7 +31,8 @@ from mirrorflow.dynamics import (
     step_count,
 )
 from mirrorflow.maps import PAIRWISE_MIN, EntropicSimplexMap, EuclideanMap
-from mirrorflow.noise import DiagonalPowerLawNoise, NoiseStream, make_noise
+from mirrorflow.noise import (DiagonalPowerLawNoise, NoiseStream, ScalarPowerLawNoise,
+                              StateScaledNoise, ZeroNoise, make_noise)
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import CONSTANT_ONE, coupled_bundle
 
@@ -125,6 +127,27 @@ def ref_b(spec, t):
     return (eta.squared() * sigma_star.squared()).integral(spec.rates.t0, t)
 
 
+def ref_diag(noise, x, t):
+    """The diagonal of sigma(x, t) as the step computes it, one Python float
+    per coordinate: s0 * t ** alpha for the scalar and diagonal models, the
+    state-scaled base times 1 + gain * tanh(<direction, x - center>) with
+    the dot added left to right from 0.0, and 0.0 without noise."""
+    n = noise.dim
+    if isinstance(noise, ZeroNoise):
+        return np.zeros(n)
+    if isinstance(noise, DiagonalPowerLawNoise):
+        return np.array([s * t ** a for s, a in zip(noise.sigma0s.tolist(),
+                                                   noise.alphas.tolist())])
+    if isinstance(noise, StateScaledNoise):
+        u = 0.0
+        for v, xi, c in zip(noise.direction.tolist(), np.asarray(x, dtype=float).tolist(),
+                            noise.center.tolist()):
+            u += v * (xi - c)
+        base = noise.base.sigma0 * t ** noise.base.alpha
+        return np.full(n, base * (1.0 + noise.gain * math.tanh(u)))
+    return np.full(n, noise.sigma0 * t ** noise.alpha)
+
+
 def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
     mmap, rates = spec.mmap, spec.rates
     averaged = spec.kind in ("amd", "samd")
@@ -138,7 +161,7 @@ def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
         if dW is None:
             dz = -(eta * hk) * g
         else:
-            d = spec.noise.diag(x, t)
+            d = ref_diag(spec.noise, x, t)
             dz = -eta * (hk * g + d * dW)
             if x_star is not None:
                 # left to right from 0.0, as the step adds it; a BLAS dot
@@ -374,21 +397,28 @@ def test_every_branch_of_the_short_step_equals_the_reference(n, kind, noise_kind
 
 def test_the_step_compiles_and_equals_the_reference_at_4000_coordinates():
     """CPython cannot compile one expression that chains some thousands of
-    additions, so the generated step keeps every sum out of such a chain;
-    at 4,000 coordinates it still equals the reference loop bit for bit."""
+    additions, so the generated step keeps every sum out of such a chain,
+    the state-scaled factor's dot included; at 4,000 coordinates it still
+    equals the reference loop bit for bit, with diagonal and with
+    state-scaled noise."""
     n = 4000
     rng = np.random.default_rng(n)
     mmap, objective, x0, z0, x_star, z_star = fixed_instance(n, "simplex", rng)
     cert = MinimizerCertificate(x_star=x_star, f_star=objective.value(x_star), z_star=z_star,
                                 boundary=False, residual=0.0, method="drawn")
-    noise = DiagonalPowerLawNoise(rng.uniform(0.1, 0.3, n), np.full(n, -0.1))
-    spec = SystemSpec(kind="samd", mmap=mmap, objective=objective,
-                      rates=coupled_bundle(1.0, 0.5), noise=noise, x0=x0, z0=z0)
-    t_end = 1.0 + 3 * 0.01
-    traj = simulate(spec, cert, t_end, 0.01, record_stride=1, stream=NoiseStream(n, 1))
-    ref = ref_simulate(spec, cert, t_end, 0.01, 1, NoiseStream(n, 1))
-    for name in ("x", "z", "gap", "energy", "b", "martingale"):
-        np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
+    direction = rng.normal(size=n)
+    for noise in (DiagonalPowerLawNoise(rng.uniform(0.1, 0.3, n), np.full(n, -0.1)),
+                  StateScaledNoise(ScalarPowerLawNoise(0.2, -0.1, n),
+                                   direction / np.linalg.norm(direction), mmap.barycenter(),
+                                   mmap=mmap)):
+        spec = SystemSpec(kind="samd", mmap=mmap, objective=objective,
+                          rates=coupled_bundle(1.0, 0.5), noise=noise, x0=x0, z0=z0)
+        t_end = 1.0 + 3 * 0.01
+        traj = simulate(spec, cert, t_end, 0.01, record_stride=1, stream=NoiseStream(n, 1))
+        ref = ref_simulate(spec, cert, t_end, 0.01, 1, NoiseStream(n, 1))
+        for name in ("x", "z", "gap", "energy", "b", "martingale"):
+            np.testing.assert_array_equal(getattr(traj, name), ref[name],
+                                          err_msg=f"{type(noise).__name__} {name}")
 
 
 @pytest.mark.parametrize("kind", ["md", "samd"])
@@ -416,6 +446,30 @@ def test_sum_exp_on_either_side_of_the_row_threshold(n, rows, kind):
     h, t_end = 0.01, 1.0 + 60.5 * 0.01
     traj = simulate(spec, cert, t_end, h, record_stride=1, stream=NoiseStream(n, 3))
     ref = ref_simulate(spec, cert, t_end, h, 1, NoiseStream(n, 3))
+    for name in ("x", "z", "gap", "energy", "b", "martingale"):
+        np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
+
+
+@pytest.mark.parametrize("noise", [DiagonalPowerLawNoise([0.0, 0.1, 0.2], [-0.3] * 3),
+                                   ScalarPowerLawNoise(0.0, -0.3, 3)], ids=["diagonal", "scalar"])
+def test_a_zero_volatility_binds_and_equals_the_reference(noise):
+    """`PowerLaw` refuses a zero coefficient, yet the step writes a zero
+    volatility as any other: a diagonal model with one zero coordinate and
+    a zero scalar model bind, one step driven by an increment equals the
+    reference step, and a run equals the reference loop, bit for bit."""
+    spec, cert = presets.default_spec("samd", rates=coupled_bundle(1.0, 0.5), sigma0=0.1)
+    spec = SystemSpec(kind="samd", mmap=spec.mmap, objective=spec.objective, rates=spec.rates,
+                      noise=noise, x0=spec.x0, z0=spec.z0)
+    dW = np.array([0.03, -0.01, 0.02])
+    x1, z1, dmart = bind_step(spec, cert.x_star)(spec.x0.tolist(), spec.z0.tolist(), 1.5, 0.01,
+                                                 dW.tolist())
+    rx, rz, _, rmart = ref_step(spec, spec.x0, spec.z0, 1.5, 0.01, dW, cert.x_star)
+    np.testing.assert_array_equal(x1, rx)
+    np.testing.assert_array_equal(z1, rz)
+    assert dmart == rmart
+    t_end = 1.0 + 200.5 * 0.01
+    traj = simulate(spec, cert, t_end, 0.01, record_stride=3, stream=NoiseStream(5, 1))
+    ref = ref_simulate(spec, cert, t_end, 0.01, 3, NoiseStream(5, 1))
     for name in ("x", "z", "gap", "energy", "b", "martingale"):
         np.testing.assert_array_equal(getattr(traj, name), ref[name], err_msg=name)
 
@@ -480,7 +534,8 @@ import hashlib
 import numpy as np
 from mirrorflow.dynamics import SystemSpec, md_bundle, nesterov_bundle, simulate
 from mirrorflow.maps import EntropicSimplexMap, EuclideanMap
-from mirrorflow.noise import NoiseStream, ZeroNoise, make_noise
+from mirrorflow.noise import (DiagonalPowerLawNoise, NoiseStream, ScalarPowerLawNoise,
+                              StateScaledNoise, ZeroNoise, make_noise)
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic
 from mirrorflow.schedules import coupled_bundle
 from mirrorflow import presets
@@ -496,6 +551,17 @@ for kind, rates, sigma0 in (("samd", coupled_bundle(1.0, 0.5), 0.1),
                       rates=rates, noise=make_noise("scalar", sigma0, 0.0, simplex),
                       x0=simplex.barycenter(), z0=np.zeros(3))
     traj = simulate(spec, cert, 5.0, 1e-2, stream=NoiseStream(7, 0))
+    for part in (traj.x, traj.z, traj.martingale):
+        digest.update(part.tobytes())
+# distinct diagonal volatilities, and a state-scaled factor: the step writes
+# both as float code, with no numpy power or BLAS dot
+for noise in (DiagonalPowerLawNoise([0.1, 0.2, 0.15], [-0.3] * 3),
+              StateScaledNoise(ScalarPowerLawNoise(0.2, -0.1, 3), np.array([0.6, -0.8, 0.0]),
+                               simplex.barycenter(), mmap=simplex)):
+    spec = SystemSpec(kind="samd", mmap=simplex, objective=presets.default_sum_exp(),
+                      rates=coupled_bundle(1.0, 0.5), noise=noise,
+                      x0=simplex.barycenter(), z0=np.zeros(3))
+    traj = simulate(spec, cert, 50.0, 1e-2, stream=NoiseStream(7, 0))
     for part in (traj.x, traj.z, traj.martingale):
         digest.update(part.tobytes())
 spec = SystemSpec(kind="nesterov", mmap=EuclideanMap(2), objective=Rank1Quadratic(
@@ -520,17 +586,18 @@ def avx512_targets():
             if __cpu_features__.get(t) and (t.startswith("AVX512") or t == "X86_V4")]
 
 
-@pytest.mark.parametrize("dispatch", ["Prescott", "no-AVX-512"])
+@pytest.mark.parametrize("dispatch", ["Prescott", "no-AVX-512", "Haswell"])
 def test_the_short_step_has_one_hash_under_every_dispatch(dispatch):
     """Below 8 coordinates the step calls no numpy arithmetic, so its x, z
-    and martingale keep their bits under OpenBLAS's Prescott kernels and
-    with numpy's AVX-512 loops disabled: default samd, smd and amd runs and
-    an oscillator run hash alike in a child under either and in a native
-    child. The certificate reaches the children as literals, so the
-    oracle's dispatch does not enter."""
+    and martingale keep their bits under OpenBLAS's Prescott and Haswell
+    kernels and with numpy's AVX-512 loops disabled: default samd, smd and
+    amd runs, samd runs with diagonal and with state-scaled noise, and an
+    oscillator run hash alike in a child under each and in a native child.
+    The certificate reaches the children as literals, so the oracle's
+    dispatch does not enter."""
     env = {}
-    if dispatch == "Prescott":
-        env["OPENBLAS_CORETYPE"] = "Prescott"
+    if dispatch in ("Prescott", "Haswell"):
+        env["OPENBLAS_CORETYPE"] = dispatch
     else:
         targets = avx512_targets()
         if not targets:

@@ -66,9 +66,9 @@ class TestEntropicValues:
         assert got == pytest.approx(0.12011450695828, abs=1e-12)
 
     def test_dual_projection_removes_mean(self):
-        _, project = maps.EntropicSimplexMap(3).point_functions()
+        project = maps.EntropicSimplexMap(3).project_point
         np.testing.assert_array_equal(project(np.ones(3)), np.zeros(3))
-        _, project2 = maps.EntropicSimplexMap(2).point_functions()
+        project2 = maps.EntropicSimplexMap(2).project_point
         np.testing.assert_allclose(project2(np.array([3.0, 1.0])), [1.0, -1.0])
 
     def test_dual_of(self):
@@ -117,8 +117,7 @@ class TestEuclideanValues:
         m = maps.EuclideanMap(2)
         z = np.array([1.5, -2.0])
         np.testing.assert_array_equal(m.grad_psi_star(z), z)
-        _, project = m.point_functions()
-        np.testing.assert_array_equal(project(np.array([3.0, 1.0])), [3.0, 1.0])
+        np.testing.assert_array_equal(m.project_point(np.array([3.0, 1.0])), [3.0, 1.0])
         np.testing.assert_array_equal(m.dual_of(np.array([2.0, -1.0])), [2.0, -1.0])
 
     def test_bregman_is_half_squared_distance(self):
@@ -204,9 +203,9 @@ def test_grad_psi_star_lands_in_feasible_set(rng):
 
 def test_projection_preserves_mirror_point(rng):
     m = maps.EntropicSimplexMap(4)
-    _, project = m.point_functions()
     for z in random_duals(m, rng, 200):
-        np.testing.assert_allclose(m.grad_psi_star(project(z)), m.grad_psi_star(z), atol=1e-15)
+        np.testing.assert_allclose(m.grad_psi_star(m.project_point(z)), m.grad_psi_star(z),
+                                   atol=1e-15)
 
 
 def test_declared_constants():
