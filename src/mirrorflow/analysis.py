@@ -30,6 +30,8 @@ def expected_value_bound(
     computed once; each time is bounded on its own in Python arithmetic."""
     rates, mmap = spec.rates, spec.mmap
     psi_x_star = mmap.psi(certificate.x_star)
+    if np.ndim(t) != 0:
+        t = np.asarray(t, dtype=float).tolist()
     integral = noise_integral(rates.eta, spec.noise.sigma_star_power(), rates.t0, t,
                               per=rates.s)
 

@@ -128,8 +128,8 @@ def cmd_ensemble(args) -> int:
 def _check_fit_window(cfg: ScenarioConfig) -> None:
     """Raise ShortFitWindow before any run when the recorded grid puts too
     few points inside the rate fit window."""
-    _, times = record_grid(cfg.t0, cfg.t_end, cfg.h, cfg.record_stride)
-    fit_indices(times, default_fit_window(cfg.t_end))
+    fit_indices(record_grid(cfg.t0, cfg.t_end, cfg.h, cfg.record_stride),
+                default_fit_window(cfg.t_end))
 
 
 def _sweep_cells(cfg: ScenarioConfig):

@@ -18,23 +18,26 @@ sigma_star does not depend on the path), and the running Ito integral of
 increments as the dual update: the step adds each increment on Python
 floats, left to right, so the integral takes no BLAS dot.
 
-The step works on Python floats. `bind_step` generates it as straight-line
-code for the spec, with one local float per coordinate, at every n. Its
-sums take numpy's order: left to right below `maps.PAIRWISE_MIN` (8)
-terms, pairwise through `maps.row_sum` from there on. The noise model's
-sigma is float code at every n, and below 8 coordinates (and, for a sum of
-exponentials, below 8 rows) so is the objective's gradient: with the
-softmax's `math.exp` the step then calls no numpy arithmetic, and its bits
-depend on libm alone, not on a BLAS kernel or numpy's SIMD dispatch. From
-8 on, the gradient is `Objective.gradient`'s numpy arithmetic. A
-process compiles each distinct generated source once and keeps the 64 it
-used last.
+`bind_step` generates the stepping loop as straight-line code for the
+spec, at every n. `simulate` calls it once per noise block; it keeps x, z
+and the martingale in local Python floats across the block's steps, one
+per coordinate, appends every recorded state to flat `array('d')` buffers,
+and stops at the first non-finite state. Its sums take numpy's order: left
+to right below `maps.PAIRWISE_MIN` (8) terms, pairwise through
+`maps.row_sum` from there on. The noise model's sigma is float code at
+every n, and below 8 coordinates (and, for a sum of exponentials, below 8
+rows) so is the objective's gradient: with the softmax's `math.exp` the
+step then calls no numpy arithmetic, and its bits depend on libm alone,
+not on a BLAS kernel or numpy's SIMD dispatch. From 8 on, the gradient is
+`Objective.gradient`'s numpy arithmetic. A process compiles each distinct
+generated source once and keeps the 64 it used last.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,14 +135,7 @@ def energy_anchor(mmap: MirrorMap, z_star: np.ndarray) -> tuple:
     return z_star, mmap.psi_star(z_star), mmap.grad_psi_star(z_star)
 
 
-def energy_value(
-    mmap: MirrorMap,
-    rates: RateBundle,
-    anchor: tuple,
-    gap,
-    z: np.ndarray,
-    t,
-):
+def energy_value(mmap: MirrorMap, rates: RateBundle, anchor: tuple, gap, z: np.ndarray, t):
     """Energy r(t) * gap + s(t) * D_conjugate(z / s(t), z*), with `anchor`
     from `energy_anchor`. Rows may be stacked: gaps and times of shape (...)
     with duals of shape (..., n) give the energy of each row."""
@@ -152,44 +148,42 @@ def energy_value(
 def _law_at(law: PowerLaw, t) -> np.ndarray:
     """law.value at t, or at each of an array of times, through the Python
     `**` one time at a time: numpy's array `**` can differ in the last bit."""
-    if np.ndim(t) == 0:
-        return np.asarray(law.value(t))
     t = np.asarray(t, dtype=float)
-    values = map(law.value, map(float, t.flat))
-    return np.fromiter(values, dtype=float, count=t.size).reshape(t.shape)
+    return np.array([law.value(u) for u in t.ravel().tolist()]).reshape(t.shape)
 
 
 def bind_step(spec: SystemSpec, x_star: np.ndarray | None = None):
-    """The step of `spec`'s flow with its objective, map, rates and noise
-    bound once: advance(x, z, t, hk, dW) -> (x_new, z_new, dmart).
+    """The stepping loop of `spec`'s flow with its objective, map, rates and
+    noise bound once: run(x, z, mart, start, stop, t0, h, hk, dWs, stride,
+    xs, zs, marts) -> (x, z, mart, failed).
 
-    It takes one step of length hk from time t, using only time-t quantities
-    on the right-hand side; ``z`` holds the velocity for the oscillator and
-    ``dW`` is the Wiener increment (None: no noise arithmetic). md/smd are
-    the averaged systems' dual update with eta = 1; only the primal update
-    and the oscillator's velocity form differ per kind. Besides the new
-    state, with the dual already projected, it returns the Ito integral's
-    increment dmart = <-eta sigma^T (anchor - x_star), dW>, the anchor being
-    the time-t mirror point (x itself for md/smd): the sum over i of
-    (-eta * (d_i * (anchor_i - x_star_i))) * dW_i, with d sigma's diagonal,
-    added left to right from 0.0. It is 0.0 without noise or x_star.
+    It takes steps k = start .. stop - 1, each of length hk from time
+    t = t0 + k * h, using only time-t quantities on the right-hand side;
+    ``z`` holds the velocity for the oscillator. A stochastic spec reads
+    each step's Wiener increment from the rows of ``dWs``; any other
+    ignores ``dWs`` and takes no noise arithmetic. md/smd are the averaged
+    systems' dual update with eta = 1; only the primal update and the
+    oscillator's velocity form differ per kind. Before each step k that is
+    a multiple of stride it appends x, z and mart to the array('d') buffers
+    xs, zs and marts. Each noisy step with an x_star adds the Ito
+    integral's increment <-eta sigma^T (anchor - x_star), dW> to mart, the
+    anchor being the time-t mirror point (x itself for md/smd): the sum
+    over i of (-eta * (d_i * (anchor_i - x_star_i))) * dW_i, with d sigma's
+    diagonal, added left to right from 0.0. It returns the state after the
+    last step (the dual projected), mart and None; or, as soon as a step
+    leaves x or z non-finite, that state, mart and the step's index.
 
-    States and increments are lists of Python floats, and the step computes
-    on Python floats, whose arithmetic rounds as numpy's elementwise
-    operations do, with `math.exp` for every exponential. numpy computes
-    only the sums of PAIRWISE_MIN or more terms (`row_sum`) and the
-    objective's gradient from PAIRWISE_MIN coordinates or rows on; sigma is
-    written into the step (`_noise_source`), with `math.tanh` for the
-    state-scaled factor. The step never modifies a list in place, so it may
-    return (and the caller may keep) its inputs.
+    States and increments are lists of Python floats. Across its steps the
+    loop keeps one local float per coordinate (from PAIRWISE_MIN on, also
+    the lists x and z); the module docstring says where numpy computes.
 
-    The step is generated as straight-line code for the spec
-    (`_step_source`), with one local float per coordinate. Its source holds
-    the spec's floats as literals and is compiled once, so binding an equal
-    spec again, or one that differs only in x0 and t0, reuses the code
-    object."""
+    The loop is generated as straight-line code for the spec
+    (`_step_source`). Its source holds the spec's floats as literals and is
+    compiled once, so binding an equal spec again, or one that differs only
+    in x0 and t0, reuses the code object."""
     make = _compiled_step(_step_source(spec, x_star))
-    return make(spec.objective.gradient, math.exp, _exp_or_inf, math.tanh, row_sum)
+    return make(spec.objective.gradient, math.exp, _exp_or_inf, math.tanh, row_sum,
+                math.isfinite)
 
 
 def _exp_or_inf(v: float) -> float:
@@ -219,10 +213,11 @@ def _power_source(coef: float, exponent: float, at: str) -> str:
     return f"{_literal(coef)} * {at} ** {_literal(exponent)}"
 
 
-def _gradient_source(objective: Objective, n: int) -> list[str]:
+def _gradient_source(objective: Objective, n: int, x: str) -> list[str]:
     """Statements that set g0.. to the objective's gradient at x0..: float
     code when each of its sums has fewer than PAIRWISE_MIN terms, so they
-    run left to right from 0.0, and `gradient(x)` otherwise. For SumExp
+    run left to right from 0.0, and otherwise `gradient` of `x`, the
+    source of a list of the current x0... For SumExp
     that is u_i = <c_i, x>, e_i = exp(u_i) and g_j = sum_i e_i c_ij, for
     Rank1Quadratic u = <c, x> and g_j = u c_j, the coefficients literals.
     An exponential that overflows is inf, as in `gradient`."""
@@ -247,7 +242,7 @@ def _gradient_source(objective: Objective, n: int) -> list[str]:
         c = objective.c.tolist()
         return [f"u = {chain(f'{_literal(cj)} * x{j}' for j, cj in enumerate(c))}",
                 f"{names} = " + ", ".join(f"u * {_literal(cj)}" for cj in c) + ","]
-    return [f"{names} = gradient(x).tolist()"]
+    return [f"{names} = gradient({x}).tolist()"]
 
 
 def _noise_source(noise: NoiseModel, n: int) -> list[str]:
@@ -276,17 +271,20 @@ def _noise_source(noise: NoiseModel, n: int) -> list[str]:
 
 
 def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
-    """Source of `make(gradient, exp, exp_or_inf, tanh, row_sum) ->
-    advance`, `bind_step`'s step written out for spec's n coordinates: x0..,
+    """Source of `make(gradient, exp, exp_or_inf, tanh, row_sum, isfinite)
+    -> run`, `bind_step`'s loop written out for spec's n coordinates: x0..,
     z0.. the state, g the gradient (`_gradient_source`), m the mirror point,
     w the increment, d the volatility diagonal (`_noise_source`), y the new
-    dual. Each coordinate's update is one expression. The softmax takes one
-    exp(m_i - top) per coordinate; its total and the projection's mean take
-    `np.add.reduce`'s order: a chain from 0.0 below PAIRWISE_MIN
-    coordinates, `row_sum` from there on. The Ito increment is added one
-    coordinate per statement, left to right from 0.0, so no expression
-    nests deeper as n grows. The text holds only this template and
-    `_literal`s of the spec's floats."""
+    dual. The loop's body is one step, with the noise branch only for a
+    stochastic spec; each coordinate's update is one expression. The
+    softmax's top is taken by `>` compares, which keep the first maximum as
+    `max` does, then one exp(m_i - top) per coordinate; its total and the
+    projection's mean take `np.add.reduce`'s order: a chain from 0.0 below
+    PAIRWISE_MIN coordinates, `row_sum` from there on. The finiteness test
+    sums x and z as a chain below PAIRWISE_MIN, with `sum` from there on,
+    and the Ito increment is added one coordinate per statement, so no
+    expression nests deeper as n grows. The text holds only this template
+    and `_literal`s of the spec's floats."""
     n = spec.mmap.dim
     rates = spec.rates
     entropic = isinstance(spec.mmap, EntropicSimplexMap)
@@ -307,7 +305,16 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
             return f"(0.0 + {each(prefix + '#', ' + ')})"
         return f"row_sum([{each(prefix + '#')}])"
 
-    body = [f"{names('x')} = x", f"{names('z')} = z", *_gradient_source(spec.objective, n)]
+    # from PAIRWISE_MIN coordinates on the loop also keeps the state in the lists
+    # x and z, so the gradient, finiteness test and recording build none per step
+    listed = n >= PAIRWISE_MIN
+    state = {p: p if listed else f"[{each(p + '#')}]" for p in "xz"}
+    body = ["if k % stride == 0:",
+            f"    record_x({state['x']})",
+            f"    record_z({state['z']})",
+            "    record_mart(mart)",
+            "t = t0 + k * h",
+            *_gradient_source(spec.objective, n, state["x"])]
     emit = body.append
 
     def mirror(src: str, at: str) -> str:
@@ -319,7 +326,8 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
             src = "m"
         if not entropic:
             return src
-        emit(f"top = {each(src + '#')}" if n == 1 else f"top = max({each(src + '#')})")
+        emit(f"top = {src}0")
+        body.extend(f"if {src}{i} > top: top = {src}{i}" for i in range(1, n))
         emit(assign("m", f"exp({src}# - top)"))
         emit(f"total = {total('m')}")
         emit(assign("m", "m# / total"))
@@ -327,7 +335,7 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
 
     if spec.kind == "nesterov":
         emit(f"damping = {_literal(spec.beta + 1.0)} / t")
-        emit(f"return [{each('x# + hk * z#')}], [{each('z# + hk * (-g# - z# * damping)')}], 0.0")
+        x_new, y = "x# + hk * z#", "z# + hk * (-g# - z# * damping)"
     else:
         averaged = spec.kind in AVERAGED_KINDS
         if averaged:
@@ -336,32 +344,47 @@ def _step_source(spec: SystemSpec, x_star: np.ndarray | None) -> str:
         else:
             emit("eta = 1.0")
             anchor = "x"
-        emit("dmart = 0.0")
-        emit("if dW is None:")
-        emit("    scale = -(eta * hk)")
-        emit("    " + assign("y", "z# + scale * g#"))
-        emit("else:")
-        emit(f"    {names('w')} = dW")
-        body.extend("    " + line for line in _noise_source(spec.noise, n))
-        emit("    neg_eta = -eta")
-        emit("    " + assign("y", "z# + neg_eta * (hk * g# + d# * w#)"))
-        if x_star is not None:
-            star = np.asarray(x_star, dtype=float).tolist()
-            body.extend(f"    dmart += neg_eta * (d{i} * ({anchor}{i} - {_literal(s)})) * w{i}"
-                        for i, s in enumerate(star))
+        if spec.is_stochastic:
+            body.extend(_noise_source(spec.noise, n))
+            emit("neg_eta = -eta")
+            emit(assign("y", "z# + neg_eta * (hk * g# + d# * w#)"))
+            if x_star is not None:
+                star = np.asarray(x_star, dtype=float).tolist()
+                emit("dmart = 0.0")
+                body.extend(f"dmart += neg_eta * (d{i} * ({anchor}{i} - {_literal(s)})) * w{i}"
+                            for i, s in enumerate(star))
+                emit("mart += dmart")
+        else:
+            emit("scale = -(eta * hk)")
+            emit(assign("y", "z# + scale * g#"))
         if entropic:
             emit(f"mean = {total('y')} / {_literal(n)}")
             emit(assign("y", "y# - mean"))
         if averaged:
             emit(f"pull = {_power_source(rates.a.coef, rates.a.exponent, 't')} * hk")
-            emit(f"return [{each(f'x# + pull * ({anchor}# - x#)')}], [{each('y#')}], dmart")
+            x_new = f"x# + pull * ({anchor}# - x#)"
         else:
-            x_new = mirror("y", "(t + hk)")
-            emit(f"return [{each(x_new + '#')}], [{each('y#')}], dmart")
-    return "\n".join(["def make(gradient, exp, exp_or_inf, tanh, row_sum):",
-                      "    def advance(x, z, t, hk, dW=None):",
-                      *("        " + line for line in body),
-                      "    return advance", ""])
+            x_new = mirror("y", "(t + hk)") + "#"
+        y = "y#"
+    if listed:
+        emit(f"x, z = [{each(x_new)}], [{each(y)}]")
+        emit("if not isfinite(sum(x)) or not isfinite(sum(z)):")
+    else:
+        emit(f"{names('x')} {names('z')} = {each(x_new)}, {each(y)},")
+        emit(f"if not isfinite({each('x#', ' + ')}) or not isfinite({each('z#', ' + ')}):")
+    emit(f"    return {state['x']}, {state['z']}, mart, k")
+    if listed:
+        body.extend((f"{names('x')} = x", f"{names('z')} = z"))
+    steps = (f"for k, ({names('w')}) in zip(range(start, stop), dWs):" if spec.is_stochastic
+             else "for k in range(start, stop):")
+    return "\n".join(["def make(gradient, exp, exp_or_inf, tanh, row_sum, isfinite):",
+                      "    def run(x, z, mart, start, stop, t0, h, hk, dWs, stride, xs, zs, marts):",
+                      f"        {names('x')} {names('z')} = *x, *z",
+                      "        record_x, record_z, record_mart = xs.extend, zs.extend, marts.append",
+                      f"        {steps}",
+                      *("            " + line for line in body),
+                      f"        return {state['x']}, {state['z']}, mart, None",
+                      "    return run", ""])
 
 
 @functools.lru_cache(maxsize=64)
@@ -506,17 +529,14 @@ def check_run(t0: float, t_end: float, h: float, record_stride: int, dim: int,
         raise ValueError(f"count = {count} is too large: {too_large}")
 
 
-def record_grid(
-    t0: float, t_end: float, h: float, record_stride: int
-) -> tuple[list[int], np.ndarray]:
-    """The recorded step indices (every record_stride-th step plus the
-    final one) and their times, as `simulate` records them."""
+def record_grid(t0: float, t_end: float, h: float, record_stride: int) -> np.ndarray:
+    """The times of the states `simulate` records: at every
+    record_stride-th step and after the final one."""
     n_steps, exact_span = step_count(t0, t_end, h)
-    rows = list(range(0, n_steps, record_stride)) + [n_steps]
-    times = t0 + np.array(rows, dtype=float) * h
+    times = t0 + np.append(np.arange(0, n_steps, record_stride), n_steps).astype(float) * h
     if not exact_span:
         times[-1] = t_end  # the clipped final step of an inexact span
-    return rows, times
+    return times
 
 
 def simulate(
@@ -563,20 +583,14 @@ def simulate(
             raise ValueError("rate bundle not admissible: " + "; ".join(report.failures()))
 
     mmap = spec.mmap
-    objective = spec.objective
     n = mmap.dim
-    f_star = certificate.f_star
     track_energy = spec.kind != "nesterov" and not certificate.boundary
     dual_anchor = energy_anchor(mmap, certificate.z_star) if track_energy else None
     x_star = certificate.x_star if track_energy else None
 
     n_steps, exact_span = step_count(t0, t_end, h)
     full_steps = n_steps if exact_span else n_steps - 1  # steps of length h
-    rec_rows, times = record_grid(t0, t_end, h, record_stride)
-    m = len(rec_rows)
-    xs = np.empty((m, n))
-    zs = np.empty((m, n))
-    marts = np.empty(m)
+    times = record_grid(t0, t_end, h, record_stride)
 
     x = np.array(spec.x0, dtype=float)
     if spec.kind == "nesterov":
@@ -586,7 +600,7 @@ def simulate(
         z = np.array(spec.z0, dtype=float)
     x, z = x.tolist(), z.tolist()
 
-    advance = bind_step(spec, x_star)
+    run = bind_step(spec, x_star)
     # (start, stop, hk): the steps whose Wiener increments one (rows, n) draw
     # gives, NOISE_BLOCK_ROWS steps at a time. The stream gives the same
     # numbers whatever the block size, so a block draw gives the per-step
@@ -596,55 +610,36 @@ def simulate(
               for start in range(0, full_steps, NOISE_BLOCK_ROWS)]
     if not exact_span:  # the clipped final step of an inexact span, drawn alone
         blocks.append((full_steps, n_steps, t_end - (t0 + full_steps * h)))
+    xs, zs, marts = array("d"), array("d"), array("d")
     mart = 0.0  # the Ito integral stays 0.0 without noise or x*
-    ri = 0
-    # a diverging run overflows in numpy before the finiteness check names it
+    # a diverging run overflows in numpy before the finiteness test names it
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop, hk in blocks:
-            rows = stop - start
-            if noisy:
-                dWs = (stream.standard_normals(n * rows).reshape(rows, n)
-                       * math.sqrt(hk)).tolist()
-            else:
-                dWs = [None] * rows
-            for k, dW in zip(range(start, stop), dWs):
-                if k == rec_rows[ri]:  # the last recorded row, n_steps, lies past the loop
-                    xs[ri] = x
-                    zs[ri] = z
-                    marts[ri] = mart
-                    ri += 1
-                t = t0 + k * h
-                x, z, dmart = advance(x, z, t, hk, dW)
-                mart += dmart
-
+            dWs = ((stream.standard_normals(n * (stop - start)).reshape(-1, n)
+                    * math.sqrt(hk)).tolist() if noisy else None)
+            x, z, mart, failed = run(x, z, mart, start, stop, t0, h, hk, dWs, record_stride,
+                                     xs, zs, marts)
+            if failed is not None:
                 # a sum is finite exactly when every coordinate is, short of
                 # overflow, whatever the order it adds them in
-                if not math.isfinite(sum(x)) or not math.isfinite(sum(z)):
-                    part = "x" if not math.isfinite(sum(x)) else "z"
-                    raise NonFinite(f"{part} became non-finite at step {k}; "
-                                    f"the last finite state is at t = {t:g}")
-    xs[ri] = x
-    zs[ri] = z
-    marts[ri] = mart
+                part = "x" if not math.isfinite(sum(x)) else "z"
+                raise NonFinite(f"{part} became non-finite at step {failed}; "
+                                f"the last finite state is at t = {t0 + failed * h:g}")
+    xs.extend(x)
+    zs.extend(z)
+    marts.append(mart)
+    xs = np.frombuffer(xs).reshape(len(times), n)
+    zs = np.frombuffer(zs).reshape(len(times), n)
 
-    gaps = objective.value(xs) - f_star
+    gaps = spec.objective.value(xs) - certificate.f_star
     energies = (energy_value(mmap, rates, dual_anchor, gaps, zs, times) if track_energy
                 else None)
     # the step's eta: the averaged kinds' rate, 1 for md and smd
     eta = rates.eta if spec.kind in AVERAGED_KINDS else CONSTANT_ONE
-    return Trajectory(
-        times=times,
-        x=xs,
-        z=zs,
-        gap=gaps,
-        energy=energies,
-        b=noise_integral(eta, spec.noise.sigma_star_power(), t0, times),
-        martingale=marts if track_energy else None,
-        h=h,
-        record_stride=record_stride,
-        spec=spec,
-        certificate=certificate,
-    )
+    return Trajectory(times=times, x=xs, z=zs, gap=gaps, energy=energies,
+                      b=noise_integral(eta, spec.noise.sigma_star_power(), t0, times),
+                      martingale=np.frombuffer(marts) if track_energy else None, h=h,
+                      record_stride=record_stride, spec=spec, certificate=certificate)
 
 
 def _cumulative_trapezoid(ts: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -679,10 +674,11 @@ def primal_average_residual(traj: Trajectory) -> float:
     rates = traj.spec.rates
     mmap = traj.spec.mmap
     ts = traj.times
-    s = np.array([rates.s.value(t) for t in ts])
+    times = ts.tolist()
+    s = np.array([rates.s.value(t) for t in times])
     mirrors = mmap.grad_psi_star(traj.z / s[:, None])
-    w = np.array([averaging_weight(rates.a, rates.t0, t) for t in ts])
-    wdot = np.array([rates.a.value(t) for t in ts]) * w
+    w = np.array([averaging_weight(rates.a, rates.t0, t) for t in times])
+    wdot = np.array([rates.a.value(t) for t in times]) * w
     integral = _cumulative_trapezoid(ts, wdot[:, None] * mirrors)
     reconstructed = (traj.x[0] + integral) / w[:, None]
     return float(np.abs(traj.x - reconstructed).max())

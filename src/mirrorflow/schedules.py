@@ -74,7 +74,7 @@ def noise_integral(eta: PowerLaw, sigma_star: PowerLaw | None, t0: float, t,
     law = eta.squared() * sigma_star.squared() / per
     if np.ndim(t) == 0:
         return law.integral(t0, t)
-    return np.array([law.integral(t0, float(u)) for u in t])
+    return np.array([law.integral(t0, u) for u in np.asarray(t, dtype=float).tolist()])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from mirrorflow.noise import NoiseStream, ZeroNoise, make_noise
 from mirrorflow.objectives import MinimizerCertificate, Rank1Quadratic, SumExp
 from mirrorflow.schedules import CONSTANT_ONE, PowerLaw, RateBundle, coupled_bundle
 from mirrorflow.verify import ZeroStream
-from test_kernel_reference import ref_b, ref_step
+from test_kernel_reference import one_step, ref_b, ref_step
 
 FIG_RATES = RateBundle(eta=CONSTANT_ONE, r=PowerLaw(1.0, 1.0), s=PowerLaw(1.0, 0.5))
 
@@ -78,7 +78,7 @@ class TestSingleSteps:
         t, h = 1.0, 0.01
         dW = np.array([0.03, -0.01, 0.02]) if noisy else None
         x_star = np.array([0.4, 0.3, 0.3])
-        x1, z1, dmart = bind_step(spec, x_star)(spec.x0, spec.z0, t, h, dW)
+        x1, z1, dmart = one_step(spec, spec.x0, spec.z0, t, h, dW, x_star)
         # independent arithmetic, with math.exp as the step takes it; eta = 1
         # for every kind here
         C = obj.coefficients
@@ -117,7 +117,7 @@ class TestSingleSteps:
         x0 = np.array([1000.0, 0.5])
         spec = SystemSpec(kind="md", mmap=euclid2, objective=obj, rates=md_bundle(),
                           noise=ZeroNoise(2), x0=x0, z0=x0)
-        x1, z1, dmart = bind_step(spec)(x0.tolist(), x0.tolist(), 1.0, 0.01)
+        x1, z1, dmart = one_step(spec, x0, x0, 1.0, 0.01)
         assert not np.isfinite(x1).any()
         with np.errstate(over="ignore", invalid="ignore"):
             np.testing.assert_array_equal(z1, x0 - 0.01 * obj.gradient(x0))
@@ -155,7 +155,7 @@ class TestSingleSteps:
         obj = Rank1Quadratic(np.array([1.0, 0.5]))
         x, v = np.array([1.0, -1.0]), np.array([0.2, 0.0])
         t, h, beta = 2.0, 0.05, 3.0
-        x1, v1, *_ = bind_step(oscillator_spec(obj, x, beta))(x, v, t, h)
+        x1, v1, *_ = one_step(oscillator_spec(obj, x, beta), x, v, t, h)
         np.testing.assert_allclose(x1, x + h * v)
         g = (obj.c @ x) * obj.c
         np.testing.assert_allclose(v1, v + h * (-g - v * (beta + 1.0) / t))
@@ -163,9 +163,9 @@ class TestSingleSteps:
     def test_nesterov_zero_gradient_stays_put(self):
         obj = Rank1Quadratic(np.array([0.0, 0.0]))
         x, v = np.array([0.3, -0.8]), np.zeros(2)
-        advance = bind_step(oscillator_spec(obj, x, 2.0))
+        spec = oscillator_spec(obj, x, 2.0)
         for t in (1.0, 2.0, 3.0):
-            x, v, *_ = advance(x, v, t, 0.1)
+            x, v, *_ = one_step(spec, x, v, t, 0.1)
         np.testing.assert_array_equal(x, [0.3, -0.8])
         np.testing.assert_array_equal(v, np.zeros(2))
 
@@ -203,11 +203,10 @@ class TestSimulateMatchesStepFunctions:
                 spec, cert = make_spec(kind, rates=FIG_RATES if kind == "amd" else None)
                 z = np.array(spec.z0, float)
             traj = simulate(spec, cert, t_end=1.0 + 7 * 0.01, h=0.01)
-            advance = bind_step(spec)
             x = np.array(spec.x0, float)
             for k in range(7):
                 t = 1.0 + k * 0.01
-                x, z, *_ = advance(x, z, t, 0.01)
+                x, z, *_ = one_step(spec, x, z, t, 0.01)
                 np.testing.assert_array_equal(traj.x[k + 1], x)
                 np.testing.assert_array_equal(traj.z[k + 1], z)
 
@@ -497,6 +496,29 @@ class TestGuards:
                                             r"finite state is at t = 2476$"), \
                 np.errstate(over="ignore", invalid="ignore"):
             simulate(spec, cert, t_end=1.0 + 600 * 5.0, h=5.0, stream=NoiseStream(4, 0))
+
+    def test_nonfinite_in_the_clipped_last_step(self):
+        m = EuclideanMap(1)
+        obj = Rank1Quadratic(np.array([1.0]))
+        cert = MinimizerCertificate(
+            x_star=np.zeros(1), f_star=0.0, z_star=np.zeros(1),
+            boundary=False, residual=0.0, method="analytic",
+        )
+        spec = SystemSpec(
+            kind="md", mmap=m, objective=obj, rates=md_bundle(),
+            noise=ZeroNoise(1), x0=np.array([1e300]), z0=np.array([1e300]),
+        )
+        # z grows by 1.5x per full step of h = 2.5, so the 45 full steps end
+        # at |z| = 8.5e307, still finite; the clipped last step, step 45 of
+        # length 0.9 h, overflows in hk * g = 2.25 * z
+        with pytest.raises(NonFinite, match=r"^x became non-finite at step 45; the last "
+                                            r"finite state is at t = 113\.5$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate(spec, cert, t_end=1.0 + 45.9 * 2.5, h=2.5)
+        # a last step of 0.4 h stays finite (its gap, x^2 / 2, does not)
+        with np.errstate(over="ignore"):
+            traj = simulate(spec, cert, t_end=1.0 + 45.4 * 2.5, h=2.5)
+        assert np.isfinite(traj.x).all() and np.isfinite(traj.z).all()
 
     def test_step_count_overflow_is_a_value_error(self):
         spec, cert = make_spec("md")

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from mirrorflow.dynamics import (
     bind_step,
     md_bundle,
     nesterov_bundle,
-    record_grid,
     simulate,
     step_count,
 )
@@ -178,6 +178,17 @@ def ref_step(spec, x, z, t, hk, dW=None, x_star=None):
     return x_new, z_new, dz, dmart
 
 
+def one_step(spec, x, z, t, hk, dW=None, x_star=None):
+    """One step of `bind_step`'s loop from time t: a block of one step, with
+    one increment for a stochastic spec, on Python-float lists. Returns the
+    new (x, z) as lists and the Ito integral's increment."""
+    dWs = None if dW is None else [np.asarray(dW, dtype=float).tolist()]
+    x, z, dmart, _ = bind_step(spec, x_star)(
+        np.asarray(x, dtype=float).tolist(), np.asarray(z, dtype=float).tolist(), 0.0,
+        0, 1, t, hk, hk, dWs, 1, array("d"), array("d"), array("d"))
+    return x, z, dmart
+
+
 def ref_simulate(spec, cert, t_end, h, record_stride, stream):
     """Per-step draws; returns (x, z, gap, energy, b, martingale) rows."""
     rates, mmap = spec.rates, spec.mmap
@@ -186,7 +197,7 @@ def ref_simulate(spec, cert, t_end, h, record_stride, stream):
     track = spec.kind != "nesterov" and not cert.boundary
     x_star = cert.x_star if track else None
     n_steps, exact = step_count(t0, t_end, h)
-    rows, _ = record_grid(t0, t_end, h, record_stride)
+    rows = [*range(0, n_steps, record_stride), n_steps]
     x = np.array(spec.x0, dtype=float)
     if spec.kind == "nesterov":
         z = rates.a.value(t0) * (np.asarray(spec.z0, dtype=float) - x)
@@ -461,8 +472,7 @@ def test_a_zero_volatility_binds_and_equals_the_reference(noise):
     spec = SystemSpec(kind="samd", mmap=spec.mmap, objective=spec.objective, rates=spec.rates,
                       noise=noise, x0=spec.x0, z0=spec.z0)
     dW = np.array([0.03, -0.01, 0.02])
-    x1, z1, dmart = bind_step(spec, cert.x_star)(spec.x0.tolist(), spec.z0.tolist(), 1.5, 0.01,
-                                                 dW.tolist())
+    x1, z1, dmart = one_step(spec, spec.x0, spec.z0, 1.5, 0.01, dW, cert.x_star)
     rx, rz, _, rmart = ref_step(spec, spec.x0, spec.z0, 1.5, 0.01, dW, cert.x_star)
     np.testing.assert_array_equal(x1, rx)
     np.testing.assert_array_equal(z1, rz)
